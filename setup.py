@@ -1,6 +1,5 @@
 from setuptools import setup
 
-# All metadata — including the numpy runtime dependency that backs the
-# repro.vec simulation backend — lives in pyproject.toml; this shim
-# keeps legacy `pip install -e .` flows on older pips working.
+# All metadata lives in pyproject.toml; this shim keeps legacy
+# `pip install -e .` flows on older pips working.
 setup()

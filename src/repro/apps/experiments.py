@@ -57,7 +57,7 @@ def run_cell(
     """
     from repro.harness.configs import MACHINES, build_core
     from repro.memory import derive_seed
-    from repro.workloads import spec92_workload
+    from repro.workloads.streams import stream_limit, workload_stream
 
     spec = MACHINES[machine]
     core = build_core(spec, informing=informing,
@@ -65,8 +65,8 @@ def run_cell(
                       replacement_seed=derive_seed(seed))
     if bypass_filter is not None:
         core.hierarchy.bypass_filter = bypass_filter
-    workload = spec92_workload(benchmark, seed_offset=seed)
-    stream = workload.stream(8 * (instructions + warmup) + 100_000)
+    stream = workload_stream(benchmark, seed,
+                             stream_limit(instructions, warmup))
     if stream_wrap is not None:
         stream = stream_wrap(stream)
     stats = core.run(stream, max_app_insts=instructions + warmup,

@@ -610,7 +610,20 @@ class JobRunner:
         total attempts a job gets across both execution modes.
         *span_mode* labels this path's repro.trace job spans — the
         pool-broken fallback re-parents its re-run jobs under the same
-        run span with ``mode="serial_fallback"``."""
+        run span with ``mode="serial_fallback"``.
+
+        Jobs of the batch that replay the same workload stream share one
+        generation of it (:func:`repro.workloads.streams.share_streams`);
+        nothing shared outlives this call."""
+        from repro.workloads.streams import share_streams
+
+        with share_streams(jobs[index].stream_key()
+                           for index in pending) as streams:
+            self._serial_jobs(jobs, keys, pending, results, sink, attempts,
+                              span_mode, streams)
+
+    def _serial_jobs(self, jobs, keys, pending, results, sink, attempts,
+                     span_mode, streams) -> None:
         cache_state = "miss" if self.cache else "off"
         for position, index in enumerate(pending):
             if self._drain:
@@ -664,6 +677,8 @@ class JobRunner:
                            **self._trace_extra(job),
                            **({"span": jspan.span_id} if jspan else {}))
             finally:
+                if streams is not None:
+                    streams.release(job.stream_key())
                 if jspan is not None:
                     clear_ambient()
                     jspan.set_attr("attempt", attempt)

@@ -126,6 +126,16 @@ class SimJob:
     def config_dict(self) -> Dict[str, Any]:
         return _thaw(self.config)
 
+    def stream_key(self) -> Optional[Tuple[str, int, int]]:
+        """The workload stream this job replays, as a
+        :mod:`repro.workloads.streams` key; None for jobs without one."""
+        if self.kind not in (KIND_BAR, KIND_APP):
+            return None
+        from repro.workloads.streams import stream_limit
+
+        return (self.benchmark, self.seed,
+                stream_limit(self.instructions, self.warmup))
+
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {

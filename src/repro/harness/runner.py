@@ -29,7 +29,8 @@ from repro.core import (
     add_mhar_sets,
 )
 from repro.harness.configs import MACHINES, MachineSpec, build_core
-from repro.workloads import FIGURE2_BENCHMARKS, spec92_workload
+from repro.workloads import FIGURE2_BENCHMARKS
+from repro.workloads.streams import stream_limit, workload_stream
 
 #: Default run sizes: measured application instructions and warm-up.
 DEFAULT_INSTRUCTIONS = 30_000
@@ -196,9 +197,8 @@ def run_bar(
     decode_span = (tracer.start_span("stream.decode", parent=parent_span,
                                      benchmark=benchmark)
                    if tracer is not None else None)
-    workload = spec92_workload(benchmark, seed_offset=seed)
-    # Generous stream bound: instrumentation and replay never exhaust it.
-    stream = workload.stream(8 * (instructions + warmup) + 100_000)
+    stream = workload_stream(benchmark, seed,
+                             stream_limit(instructions, warmup))
     if bar.per_ref_instrumentation == "mhar":
         stream = add_mhar_sets(stream)
     elif bar.per_ref_instrumentation == "cc":

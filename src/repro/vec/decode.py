@@ -1,28 +1,22 @@
-"""Decode-once stream layer: DynInst streams as flat numpy columns.
+"""Decode-once stream layer: DynInst streams as flat row tuples.
 
-The interp backend pays the workload generator, the ``DynInst``
-constructor and the ``StreamStack`` buffering once *per grid cell* —
-ten times per benchmark in a figure2 grid, for byte-identical
-instruction streams (generators are seeded and independent of
-simulation state).  This module decodes a stream once into flat numpy
-column arrays and shares the decoded form across every cell of the
-same ``(benchmark, seed, length-bound)``:
+The interp backend replays ``DynInst`` objects through the
+``StreamStack`` buffering.  This module decodes a stream once into one
+plain tuple of ints per instruction and shares the decoded form across
+every cell of the same ``(benchmark, seed, length-bound)``:
 
 * the **base** stream is decoded lazily in chunks of
   :data:`CHUNK` instructions (a cell only consumes a few tens of
   thousands of the multi-hundred-thousand-instruction bound);
 * the per-reference instrumentation rewrites of
   :mod:`repro.core.instrumentation` (``MHAR_SET`` before /
-  ``BLMISS`` after every informing reference) are **array
-  transforms**: one ``np.repeat`` over an informing-reference mask
-  plus masked stores, instead of a per-instruction Python generator;
-* replay kernels walk plain-tuple **rows** (one 13-tuple of ints per
-  instruction, ``zip``-transposed from the columns once per chunk) —
-  one list index per fetched instruction instead of one per field,
-  and no numpy scalar boxing in the replay loop (the arrays are the
-  storage/transform layer, the row lists are the replay layer).
+  ``BLMISS`` after every informing reference) are **list passes**
+  over a decoded chunk that splice in a precomputed row per informing
+  reference, instead of a per-instruction Python generator;
+* replay kernels walk the row lists directly — one list index per
+  fetched instruction instead of one attribute load per field.
 
-Row/column order (everything is an int; ``-1`` encodes "absent"):
+Row slot order (everything is an int; ``-1`` encodes "absent"):
 ``op`` (dense :attr:`OpClass.op_code`), ``fu`` (dense FU code),
 ``dest``, ``src1``, ``src2``, ``addr``, ``taken`` (-1/0/1), ``pc``,
 ``line`` (``pc >> 5``, the fetch-line key both cores use), ``inf``
@@ -37,11 +31,10 @@ switch value).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.isa.opclass import FU_BRANCH, FU_INT, OpClass
 from repro.workloads import spec92_workload
@@ -63,159 +56,106 @@ OP_MHAR_SET = OpClass.MHAR_SET.op_code
 OP_MHRR_JUMP = OpClass.MHRR_JUMP.op_code
 OP_BLMISS = OpClass.BLMISS.op_code
 
-#: fu code per op code (op_code is declaration order).
-_FU_BY_OP = np.array([op.fu_code for op in OpClass], dtype=np.int16)
-_FU_BY_OP_LIST = _FU_BY_OP.tolist()
-
-#: op codes classified as overhead at commit (plus any handler code).
-_OVH_OPS = (OP_MHAR_SET, OP_BLMISS, OP_PREFETCH)
-
-# Issue dispatch classes (the ``cls`` column / row slot 12).
+# Issue dispatch classes (row slot 12).
 CLS_PLAIN = 0
 CLS_MEM = 1
 CLS_BRANCH = 2
 CLS_BLMISS = 3
 
-#: Column names in storage (and row slot) order.
+#: Row slot names, in order.
 COLUMNS = ("op", "fu", "dest", "src1", "src2", "addr", "taken", "pc",
            "line", "inf", "hand", "ovh", "cls")
 
-_DTYPES = {
-    "op": np.int16, "fu": np.int16, "dest": np.int32, "src1": np.int32,
-    "src2": np.int32, "addr": np.int64, "taken": np.int8, "pc": np.int64,
-    "line": np.int64, "inf": np.int8, "hand": np.int8, "ovh": np.int8,
-    "cls": np.int8,
-}
+#: op code -> (fu code, overhead flag for non-handler code, dispatch
+#: class); op_code is declaration order.
+_OP_TRAITS = [
+    (op.fu_code,
+     1 if op.op_code in (OP_MHAR_SET, OP_BLMISS, OP_PREFETCH) else 0,
+     CLS_MEM if op.op_code in (OP_LOAD, OP_STORE, OP_PREFETCH)
+     else CLS_BRANCH if op.op_code == OP_BRANCH
+     else CLS_BLMISS if op.op_code == OP_BLMISS
+     else CLS_PLAIN)
+    for op in OpClass
+]
 
 
-def decode_chunk(insts) -> Optional[Dict[str, np.ndarray]]:
-    """Decode an iterable of DynInst into base column arrays.
+def decode_chunk(insts) -> Optional[List[tuple]]:
+    """Decode an iterable of DynInst into row tuples.
 
-    Returns None for an empty chunk (stream exhausted).  The derived
-    columns (``fu``/``line``/``ovh``) are computed vectorised from the
-    base columns.
+    Returns None for an empty chunk (stream exhausted).
     """
-    op_l: List[int] = []
-    dest_l: List[int] = []
-    src1_l: List[int] = []
-    src2_l: List[int] = []
-    addr_l: List[int] = []
-    taken_l: List[int] = []
-    pc_l: List[int] = []
-    inf_l: List[int] = []
-    hand_l: List[int] = []
+    traits = _OP_TRAITS
+    rows: List[tuple] = []
+    append = rows.append
     for inst in insts:
-        op_l.append(inst.op.op_code)
+        code = inst.op.op_code
+        fu, ovh, cls = traits[code]
         dest = inst.dest
-        dest_l.append(-1 if dest is None else dest)
         srcs = inst.srcs
         n_srcs = len(srcs)
-        src1_l.append(srcs[0] if n_srcs > 0 else -1)
-        src2_l.append(srcs[1] if n_srcs > 1 else -1)
         if n_srcs > 2:
             raise ValueError(
                 "vec decode supports at most two source registers per "
                 f"instruction, got {n_srcs} at pc {inst.pc:#x}")
         addr = inst.addr
-        addr_l.append(-1 if addr is None else addr)
         taken = inst.taken
-        taken_l.append(-1 if taken is None else int(taken))
-        pc_l.append(inst.pc)
-        inf_l.append(1 if inst.informing else 0)
-        hand_l.append(1 if inst.handler_code else 0)
-    if not op_l:
-        return None
-    cols = {
-        "op": np.array(op_l, dtype=np.int16),
-        "dest": np.array(dest_l, dtype=np.int32),
-        "src1": np.array(src1_l, dtype=np.int32),
-        "src2": np.array(src2_l, dtype=np.int32),
-        "addr": np.array(addr_l, dtype=np.int64),
-        "taken": np.array(taken_l, dtype=np.int8),
-        "pc": np.array(pc_l, dtype=np.int64),
-        "inf": np.array(inf_l, dtype=np.int8),
-        "hand": np.array(hand_l, dtype=np.int8),
-    }
-    _derive(cols)
-    return cols
+        pc = inst.pc
+        hand = 1 if inst.handler_code else 0
+        append((code, fu, -1 if dest is None else dest,
+                srcs[0] if n_srcs > 0 else -1,
+                srcs[1] if n_srcs > 1 else -1,
+                -1 if addr is None else addr,
+                -1 if taken is None else int(taken),
+                pc, pc >> 5, 1 if inst.informing else 0, hand,
+                1 if hand else ovh, cls))
+    return rows or None
 
 
-def _derive(cols: Dict[str, np.ndarray]) -> None:
-    """Fill the fu/line/ovh/cls columns from op/pc/hand."""
-    op = cols["op"]
-    cols["fu"] = _FU_BY_OP[op]
-    cols["line"] = cols["pc"] >> 5
-    ovh = cols["hand"].astype(bool)
-    for code in _OVH_OPS:
-        ovh |= op == code
-    cols["ovh"] = ovh.astype(np.int8)
-    cls = np.zeros(len(op), dtype=np.int8)
-    cls[(op == OP_LOAD) | (op == OP_STORE) | (op == OP_PREFETCH)] = CLS_MEM
-    cls[op == OP_BRANCH] = CLS_BRANCH
-    cls[op == OP_BLMISS] = CLS_BLMISS
-    cols["cls"] = cls
+def _insert_per_reference(rows: List[tuple], before: bool,
+                          ins_op: int, pc_offset: int) -> List[tuple]:
+    """Splice an instrumentation row next to every informing reference
+    (the predicate of :mod:`repro.core.instrumentation`).
 
-
-def _rows(cols: Dict[str, np.ndarray]) -> List[tuple]:
-    """Transpose a column chunk into per-instruction row tuples."""
-    return list(zip(*(cols[name].tolist() for name in COLUMNS)))
-
-
-def _informing_ref_mask(cols: Dict[str, np.ndarray]) -> np.ndarray:
-    """The instrumentation predicate of repro.core.instrumentation."""
-    op = cols["op"]
-    return ((cols["inf"] != 0) & (cols["hand"] == 0)
-            & ((op == OP_LOAD) | (op == OP_STORE)))
-
-
-def _insert_per_reference(cols: Dict[str, np.ndarray], before: bool,
-                          ins_op: int, pc_offset: int) -> Dict[str, np.ndarray]:
-    """Duplicate every informing reference's row and overwrite one copy
-    with the inserted instrumentation instruction.
-
-    ``before=True`` inserts at the first copy (``MHAR_SET`` precedes its
-    reference), ``before=False`` at the second (``BLMISS`` follows it).
+    ``before=True`` inserts ahead of the reference (``MHAR_SET``),
+    ``before=False`` after it (``BLMISS``).  mhar_set()/the BLMISS
+    DynInst constructor leave ``informing`` at its default (True) and
+    handler_code False; neither is a memory op, so only the commit
+    classification (``ovh``) sees them.
     """
-    mask = _informing_ref_mask(cols)
-    if not mask.any():
-        return cols
-    reps = mask.astype(np.intp) + 1
-    starts = np.cumsum(reps) - reps          # output index of each input row
-    ins_pos = starts[mask] + (0 if before else 1)
-    ref_pc = cols["pc"][mask]
-    out = {name: np.repeat(arr, reps) for name, arr in cols.items()
-           if name in ("op", "dest", "src1", "src2", "addr", "taken",
-                       "pc", "inf", "hand")}
-    out["op"][ins_pos] = ins_op
-    out["dest"][ins_pos] = -1
-    out["src1"][ins_pos] = -1
-    out["src2"][ins_pos] = -1
-    out["addr"][ins_pos] = -1
-    out["taken"][ins_pos] = -1
-    # mhar_set()/the BLMISS DynInst constructor leave ``informing`` at
-    # its default (True) and handler_code False; neither is a memory op
-    # so only the commit classification (ovh, derived below) sees them.
-    out["pc"][ins_pos] = ref_pc + pc_offset
-    out["inf"][ins_pos] = 1
-    out["hand"][ins_pos] = 0
-    _derive(out)
+    fu, ovh, cls = _OP_TRAITS[ins_op]
+    out: List[tuple] = []
+    append = out.append
+    for row in rows:
+        op = row[0]
+        if row[9] and not row[10] and (op == OP_LOAD or op == OP_STORE):
+            pc = row[7] + pc_offset
+            inserted = (ins_op, fu, -1, -1, -1, -1, -1, pc, pc >> 5,
+                        1, 0, ovh, cls)
+            if before:
+                append(inserted)
+                append(row)
+            else:
+                append(row)
+                append(inserted)
+        else:
+            append(row)
     return out
 
 
-def add_mhar_sets_flat(cols: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Array form of :func:`repro.core.instrumentation.add_mhar_sets`."""
-    return _insert_per_reference(cols, before=True, ins_op=OP_MHAR_SET,
+def add_mhar_sets_flat(rows: List[tuple]) -> List[tuple]:
+    """Row form of :func:`repro.core.instrumentation.add_mhar_sets`."""
+    return _insert_per_reference(rows, before=True, ins_op=OP_MHAR_SET,
                                  pc_offset=2)
 
 
-def add_cc_checks_flat(cols: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Array form of :func:`repro.core.instrumentation.add_cc_checks`."""
-    return _insert_per_reference(cols, before=False, ins_op=OP_BLMISS,
+def add_cc_checks_flat(rows: List[tuple]) -> List[tuple]:
+    """Row form of :func:`repro.core.instrumentation.add_cc_checks`."""
+    return _insert_per_reference(rows, before=False, ins_op=OP_BLMISS,
                                  pc_offset=1)
 
 
 _VARIANTS = {
-    "plain": lambda cols: cols,
+    "plain": lambda rows: rows,
     "mhar": add_mhar_sets_flat,
     "cc": add_cc_checks_flat,
 }
@@ -227,7 +167,9 @@ class StreamView:
     ``rows`` is a plain Python list of per-instruction tuples in
     :data:`COLUMNS` slot order; ``avail`` is how many instructions are
     currently decoded.  The replay kernels read ``rows`` directly and
-    call :meth:`ensure` when the fetch index reaches ``avail``.
+    call :meth:`ensure` when the fetch index reaches ``avail``.  Views
+    are shared by every cell (and thread) replaying the same stream:
+    ``rows`` only ever grows, under the owning workload's lock.
     """
 
     __slots__ = ("_workload", "variant", "rows", "avail", "done")
@@ -242,13 +184,14 @@ class StreamView:
     def ensure(self, index: int) -> bool:
         """Decode until *index* is readable; False when the stream ends
         first."""
-        while self.avail <= index and not self.done:
-            chunk = self._workload.next_chunk_for(self)
-            if chunk is None:
-                self.done = True
-                break
-            self.rows.extend(_rows(chunk))
-            self.avail = len(self.rows)
+        with self._workload.lock:
+            while self.avail <= index and not self.done:
+                chunk = self._workload.next_chunk_for(self)
+                if chunk is None:
+                    self.done = True
+                    break
+                self.rows.extend(chunk)
+                self.avail = len(self.rows)
         return index < self.avail
 
 
@@ -259,15 +202,19 @@ class DecodedWorkload:
     the shared base chunks independently, so the ten cells of a
     benchmark's figure2 column (two machines x five bars, mixing plain
     and mhar variants) decode the underlying stream a single time.
+    ``lock`` serialises every advance of the base generator and every
+    view creation, so threads replaying one stream never run the
+    generator concurrently.
     """
 
     def __init__(self, benchmark: str, seed_offset: int, limit: int) -> None:
         self.benchmark = benchmark
         self.seed_offset = seed_offset
         self.limit = limit
+        self.lock = threading.Lock()
         workload = spec92_workload(benchmark, seed_offset=seed_offset)
         self._source = workload.stream(limit)
-        self._base_chunks: List[Dict[str, np.ndarray]] = []
+        self._base_chunks: List[List[tuple]] = []
         self._exhausted = False
         self._views: Dict[str, StreamView] = {}
         self._consumed: Dict[str, int] = {}  # view variant -> chunks taken
@@ -276,12 +223,13 @@ class DecodedWorkload:
         if variant not in _VARIANTS:
             raise ValueError(f"unknown stream variant {variant!r}; "
                              f"expected one of {sorted(_VARIANTS)}")
-        view = self._views.get(variant)
-        if view is None:
-            view = StreamView(self, variant)
-            self._views[variant] = view
-            self._consumed[variant] = 0
-        return view
+        with self.lock:
+            view = self._views.get(variant)
+            if view is None:
+                view = StreamView(self, variant)
+                self._views[variant] = view
+                self._consumed[variant] = 0
+            return view
 
     def _decode_base_chunk(self) -> bool:
         if self._exhausted:
@@ -293,7 +241,9 @@ class DecodedWorkload:
         self._base_chunks.append(chunk)
         return True
 
-    def next_chunk_for(self, view: StreamView) -> Optional[Dict[str, np.ndarray]]:
+    def next_chunk_for(self, view: StreamView) -> Optional[List[tuple]]:
+        """The next transformed chunk of *view*'s variant (call with
+        :attr:`lock` held)."""
         index = self._consumed[view.variant]
         while index >= len(self._base_chunks):
             if not self._decode_base_chunk():
@@ -303,6 +253,7 @@ class DecodedWorkload:
 
 
 _CACHE: "OrderedDict[Tuple[str, int, int], DecodedWorkload]" = OrderedDict()
+_CACHE_LOCK = threading.Lock()
 
 
 def decoded_stream(benchmark: str, seed_offset: int, limit: int,
@@ -311,23 +262,25 @@ def decoded_stream(benchmark: str, seed_offset: int, limit: int,
 
     Cached per ``(benchmark, seed_offset, limit)`` with a small LRU so
     a grid's worth of cells reuses one decode per benchmark without
-    pinning every benchmark's arrays in memory.
+    pinning every benchmark's rows in memory.
     """
     key = (benchmark, seed_offset, limit)
-    workload = _CACHE.get(key)
-    if workload is None:
-        workload = DecodedWorkload(benchmark, seed_offset, limit)
-        _CACHE[key] = workload
-        while len(_CACHE) > _MAX_CACHED:
-            _CACHE.popitem(last=False)
-    else:
-        _CACHE.move_to_end(key)
+    with _CACHE_LOCK:
+        workload = _CACHE.get(key)
+        if workload is None:
+            workload = DecodedWorkload(benchmark, seed_offset, limit)
+            _CACHE[key] = workload
+            while len(_CACHE) > _MAX_CACHED:
+                _CACHE.popitem(last=False)
+        else:
+            _CACHE.move_to_end(key)
     return workload.view(variant)
 
 
 def clear_decode_cache() -> None:
     """Drop all cached decodes (tests and memory-pressure hook)."""
-    _CACHE.clear()
+    with _CACHE_LOCK:
+        _CACHE.clear()
 
 
 class FlatHandlers:

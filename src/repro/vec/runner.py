@@ -14,6 +14,7 @@ from repro.harness.runner import BarConfig, BarResult
 from repro.vec.decode import decoded_stream
 from repro.vec.inorder import run_inorder_vec
 from repro.vec.ooo import run_ooo_vec
+from repro.workloads.streams import stream_limit
 
 _VARIANT_BY_INSTRUMENTATION = {None: "plain", "mhar": "mhar", "cc": "cc"}
 
@@ -46,7 +47,7 @@ def run_bar_vec(
                       replacement_policy=policy,
                       replacement_seed=derive_seed(seed))
     # Same stream bound as the interp path — the decode cache keys on it.
-    limit = 8 * (instructions + warmup) + 100_000
+    limit = stream_limit(instructions, warmup)
     variant = _VARIANT_BY_INSTRUMENTATION[bar.per_ref_instrumentation]
     view = decoded_stream(benchmark, seed, limit, variant)
     kernel = run_ooo_vec if spec.out_of_order else run_inorder_vec

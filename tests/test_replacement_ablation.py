@@ -92,10 +92,31 @@ class TestCommittedArtifact:
         assert winner.replace("b", "") in analysis["diagnosis"] or \
             winner in analysis["diagnosis"]
 
-    def test_committed_traces_parse(self):
-        traces = sorted(EXPLAIN_DIR.glob("*.events.jsonl"))
-        assert traces, "no committed explain traces"
+    def test_regenerated_traces_reproduce_committed_explain(
+            self, artifact, tmp_path):
+        """The raw traces are not committed (hundreds of KB each); they
+        are regenerated from the committed ablation, must parse, and
+        must reproduce every committed ``*.explain.json`` byte for
+        byte."""
         from repro.obs.export import read_jsonl
+
+        # Rows back in run (policies) order: the rival pick breaks ties
+        # by that order, and the JSON file stores its keys sorted.
+        payload = dict(artifact, cells={
+            benchmark: {policy: row[policy]
+                        for policy in artifact["policies"]}
+            for benchmark, row in artifact["cells"].items()})
+        written = write_explain_artifacts(payload, str(tmp_path),
+                                          seed=artifact["seed"])
+        traces = [Path(p) for p in written if p.endswith(".events.jsonl")]
+        assert traces, "no benchmark spreads enough to keep a trace"
         for trace in traces:
             events = read_jsonl(str(trace), strict=True)
             assert events and all("kind" in event for event in events)
+        regenerated = sorted(Path(p).name for p in written
+                             if p.endswith(".explain.json"))
+        committed = sorted(p.name for p in EXPLAIN_DIR.glob("*.explain.json"))
+        assert regenerated == committed
+        for name in committed:
+            assert ((tmp_path / name).read_bytes()
+                    == (EXPLAIN_DIR / name).read_bytes()), name

@@ -243,7 +243,6 @@ class TestResumeCli:
 
     def test_resume_respects_backend_flag(self, roots, monkeypatch,
                                           capsys):
-        pytest.importorskip("numpy")
         from repro.vec import BACKEND_ENV
 
         # Restore-point trick (see test_vec_parity): the engine exports

@@ -24,7 +24,6 @@ from dataclasses import fields
 import pytest
 
 pytest.importorskip("hypothesis")
-pytest.importorskip("numpy")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
