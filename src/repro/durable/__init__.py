@@ -9,7 +9,6 @@ turns a dead run's journal back into a finished figure
 
 from repro.durable.journal import (
     BATCH_FSYNC_INTERVAL,
-    ENV_FSYNC,
     FSYNC_POLICIES,
     HEADER_RECORD,
     JOURNAL_NAME,
@@ -33,7 +32,6 @@ from repro.durable.resume import (
 
 __all__ = [
     "BATCH_FSYNC_INTERVAL",
-    "ENV_FSYNC",
     "EXEC_KIND",
     "FSYNC_POLICIES",
     "HEADER_RECORD",

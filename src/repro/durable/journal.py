@@ -23,7 +23,7 @@ Durability is configurable per journal (:data:`FSYNC_POLICIES`):
 * ``"off"`` — flush to the OS only (survives a process kill, not a
   machine crash).
 
-``REPRO_JOURNAL_FSYNC`` overrides the default policy process-wide.
+The exec engine takes the policy from ``ExecOptions.journal_fsync``.
 
 Append failures (ENOSPC, a yanked filesystem, a read-only mount) never
 raise out of :meth:`RunJournal.append`: the journal counts the error,
@@ -49,7 +49,6 @@ JOURNAL_SCHEMA = 1
 HEADER_RECORD = "journal_header"
 
 FSYNC_POLICIES = ("always", "batch", "off")
-ENV_FSYNC = "REPRO_JOURNAL_FSYNC"
 BATCH_FSYNC_INTERVAL = 16
 
 #: Conventional journal file name inside a run directory.
@@ -57,10 +56,10 @@ JOURNAL_NAME = "journal.jsonl"
 
 
 def fsync_policy(explicit: Optional[str] = None) -> str:
-    """Resolve the fsync policy: *explicit*, ``REPRO_JOURNAL_FSYNC``, or
-    ``"always"``.  Unknown names raise ValueError (a typo must not
-    silently weaken durability)."""
-    policy = explicit or os.environ.get(ENV_FSYNC, "").strip() or "always"
+    """Resolve the fsync policy: *explicit*, or ``"always"``.  Unknown
+    names raise ValueError (a typo must not silently weaken
+    durability)."""
+    policy = explicit or "always"
     if policy not in FSYNC_POLICIES:
         raise ValueError(f"unknown fsync policy {policy!r}; "
                          f"choose from {FSYNC_POLICIES}")

@@ -44,7 +44,6 @@ from __future__ import annotations
 import contextlib
 import os
 import signal
-import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -53,6 +52,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.context import DEFAULT_CONTEXT, RunContext
 from repro.exec.cache import ResultCache
 from repro.exec.job import SimJob, execute_job
 from repro.exec.telemetry import (
@@ -75,15 +75,8 @@ from repro.exec.telemetry import (
     run_header_record,
 )
 from repro.sanitize.violation import InvariantViolation
-from repro.trace import (
-    ENV_PARENT,
-    ENV_SAMPLE,
-    ENV_SPANS,
-    clear_ambient,
-    flight,
-    maybe_tracer,
-    set_ambient,
-)
+from repro.trace import clear_ambient, flight, maybe_tracer, set_ambient
+from repro.vec import resolve_backend
 
 
 class TransientJobError(RuntimeError):
@@ -135,18 +128,24 @@ class ExecOptions:
     journal: bool = True
     journal_dir: Optional[str] = None
     #: fsync policy for the journal ("always" | "batch" | "off"); None
-    #: defers to ``REPRO_JOURNAL_FSYNC``, then "always".
+    #: means "always".
     journal_fsync: Optional[str] = None
     #: Simulation backend for bar jobs ("interp" | "vec", see
-    #: :mod:`repro.vec`); None defers to ``REPRO_BACKEND``.  Plumbed
-    #: through the environment (which forked pool workers inherit, the
-    #: same route ``--sanitize`` uses) — never through the job itself:
-    #: backends are digit-exact, so a :meth:`SimJob.cache_key` is
-    #: backend-free and either backend may serve the shared cache.
+    #: :mod:`repro.vec`); None means interp.  Carried to every job by
+    #: the run's :class:`~repro.context.RunContext` — never by the job
+    #: itself: backends are digit-exact, so a :meth:`SimJob.cache_key`
+    #: is backend-free and either backend may serve the shared cache.
     backend: Optional[str] = None
+    #: Attach the runtime invariant sanitizer (:mod:`repro.sanitize`) to
+    #: every simulated cell (``--sanitize``).
+    sanitize: bool = False
+    #: Attach a :mod:`repro.obs` observer to every simulated cell and
+    #: write its event trace and metrics under this directory
+    #: (``--trace-events DIR``).
+    obs_dir: Optional[str] = None
     #: repro.trace head-based sampling rate for this run ([0, 1]); None
-    #: defers to ``REPRO_TRACE_SAMPLE``, then 0.0 (tracing off — the
-    #: default costs one ``is None`` test per instrumentation site).
+    #: or 0.0 leaves tracing off (one ``is None`` test per
+    #: instrumentation site).
     trace_sample: Optional[float] = None
     #: Incoming ``traceparent`` header (repro.serve): when it carries a
     #: sampled context this run continues that trace regardless of the
@@ -159,13 +158,15 @@ class ExecOptions:
 
 
 def _timed_call(execute: Callable[[SimJob], Dict[str, Any]],
-                job: SimJob):
-    """Worker-side wrapper: run *execute* and measure its wall time.
+                job: SimJob, ctx: RunContext):
+    """Run *execute* under the run context *ctx*; measure its wall time.
 
-    Module-level so the process pool can pickle it by reference.
+    The one entry point of both the serial loop and the process pool
+    (module-level so the pool can pickle it by reference).
     """
     start = time.perf_counter()
-    result = execute(job)
+    with ctx:
+        result = execute(job)
     return result, time.perf_counter() - start
 
 
@@ -231,12 +232,7 @@ class JobRunner:
                  sinks: Sequence = (),
                  cache: Optional[ResultCache] = None) -> None:
         self.options = options or ExecOptions()
-        if self.options.backend is not None:
-            from repro.vec import BACKEND_ENV, resolve_backend
-
-            # Validates the name (BackendError on a typo) and exports it
-            # so both the serial path and forked pool workers see it.
-            os.environ[BACKEND_ENV] = resolve_backend(self.options.backend)
+        resolve_backend(self.options.backend)  # BackendError on a typo
         self.execute = execute
         self.extra_sinks = list(sinks)
         if cache is not None:
@@ -260,13 +256,12 @@ class JobRunner:
         self.last_spans: Optional[str] = None
         self._trace_opened = False
         self._drain = False
-        #: repro.trace state for the duration of one run(): the sampled
-        #: tracer (None → tracing off, the common case), the run-root
-        #: span, the span sink path, and the flight-dump directory.
+        #: State for the duration of one run(): the settings every job
+        #: runs under, the sampled repro.trace tracer (None → tracing
+        #: off, the common case) and the run-root span.
+        self._ctx = DEFAULT_CONTEXT
         self._tr = None
         self._run_span = None
-        self._spans_path: Optional[str] = None
-        self._flight_dir: Optional[str] = None
         self._flight_dumped: set = set()
 
     # -- graceful shutdown ---------------------------------------------------
@@ -325,24 +320,29 @@ class JobRunner:
         sink.emit(JobEvent(event=event, key=key, label=job.label,
                            timestamp=time.time(), **extra))
 
-    @staticmethod
-    def _trace_extra(job: SimJob) -> Dict[str, str]:
+    def _span(self, name: str, **attrs):
+        """A child span of this run's root span, finished on exit (status
+        "error" if the body raised) — or a no-op context yielding None
+        when the run is untraced."""
+        if self._tr is None:
+            return contextlib.nullcontext()
+        return self._tr.span(name, parent=self._run_span, **attrs)
+
+    def _trace_extra(self, job: SimJob) -> Dict[str, str]:
         """FINISHED-event extras for executed jobs: the per-job repro.obs
-        trace path (when a trace directory is configured) and the
-        effective simulation backend."""
-        from repro.obs import job_trace_path, obs_trace_dir
+        trace path (when the run has an obs directory) and the effective
+        simulation backend."""
+        from repro.obs import job_trace_path
 
         extra: Dict[str, str] = {}
-        directory = obs_trace_dir()
-        if directory:
-            extra["trace"] = job_trace_path(directory, job.label)
-        backend = JobRunner._effective_backend(job)
+        if self._ctx.obs_dir:
+            extra["trace"] = job_trace_path(self._ctx.obs_dir, job.label)
+        backend = self._effective_backend(job)
         if backend is not None:
             extra["backend"] = backend
         return extra
 
-    @staticmethod
-    def _effective_backend(job: SimJob) -> Optional[str]:
+    def _effective_backend(self, job: SimJob) -> Optional[str]:
         """The backend a just-executed bar job actually ran on.
 
         Mirrors the dispatch in :func:`repro.harness.runner.run_bar`: a
@@ -356,22 +356,17 @@ class JobRunner:
         if job.kind != KIND_BAR:
             return None
         from repro.harness.runner import bar_config
-        from repro.obs import obs_enabled
-        from repro.sanitize import sanitize_enabled
-        from repro.vec import BackendError, resolve_backend, vec_supports
+        from repro.vec import vec_supports
 
-        try:
-            backend = resolve_backend(None)
-        except BackendError:  # unknown REPRO_BACKEND fails in run_bar too
-            return None
-        if backend != "vec":
+        ctx = self._ctx
+        if ctx.backend != "vec":
             return "interp"
         cfg = job.config_dict()
         try:
             bar = bar_config(cfg.get("label", "N"))
         except ValueError:
             return None
-        if (sanitize_enabled() or obs_enabled()
+        if (ctx.sanitize or ctx.obs_dir
                 or not vec_supports(bar, cfg.get("policy", "lru"))):
             return "interp"
         return "vec"
@@ -437,17 +432,15 @@ class JobRunner:
     def _maybe_flight_dump(self, reason: str) -> None:
         """Dump the flight-recorder tail once per (run, reason).
 
-        Only materializes when a destination is known — the run's own
-        artifact directory, or ``REPRO_TRACE_FLIGHT_DIR`` — so library
-        callers without run dirs never find stray crash files in cwd.
+        Only materializes when the run has its own artifact directory,
+        so library callers without run dirs never find stray crash files
+        in cwd.
         """
         if reason in self._flight_dumped:
             return
         self._flight_dumped.add(reason)
-        directory = self._flight_dir or os.environ.get(
-            "REPRO_TRACE_FLIGHT_DIR")
-        if directory:
-            flight().dump(reason, directory)
+        if self._ctx.flight_dir:
+            flight().dump(reason, self._ctx.flight_dir)
 
     # -- main entry ----------------------------------------------------------
     def run(self, jobs: Sequence[SimJob],
@@ -478,18 +471,23 @@ class JobRunner:
             from repro.perf.manifest import new_run_id
 
             run_id = new_run_id(meta.get("experiment"))
-        if run_id and root:
-            self._flight_dir = os.path.join(root, run_id)
+        run_dir = os.path.join(root, run_id) if run_id else None
         self._flight_dumped = set()
+        traceparent = spans_path = None
         if self._tr is not None:
-            self._spans_path = self.options.spans_path or (
-                os.path.join(root, run_id, "spans.jsonl")
-                if run_id and root else None)
+            spans_path = self.options.spans_path or (
+                os.path.join(run_dir, "spans.jsonl") if run_dir else None)
             self._run_span = self._tr.start_span(
                 "run", jobs=len(jobs), workers=self.options.jobs,
                 **({"run_id": run_id} if run_id else {}),
                 **({"experiment": meta["experiment"]}
                    if meta.get("experiment") else {}))
+            traceparent = self._tr.traceparent(self._run_span)
+        self._ctx = RunContext(
+            backend=resolve_backend(self.options.backend),
+            sanitize=self.options.sanitize, obs_dir=self.options.obs_dir,
+            traceparent=traceparent, spans_path=spans_path,
+            flight_dir=run_dir)
         sink, trace, collector = self._build_sink(len(jobs), journal)
         run_start = time.perf_counter()
         results: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
@@ -500,41 +498,35 @@ class JobRunner:
             with self._graceful_signals():
                 keys = [job.cache_key() for job in jobs]
                 if journal is not None:
-                    jnl_span = (self._tr.start_span(
-                        "journal.append", parent=self._run_span)
-                        if self._tr is not None else None)
-                    journal.record(
-                        "run_start", run_id=run_id,
-                        jobs=[{"key": key, "job": job.to_dict()}
-                              for job, key in zip(jobs, keys)])
-                    if jnl_span is not None:
-                        jnl_span.finish()
-                probe_span = (self._tr.start_span(
-                    "cache.probe", parent=self._run_span)
-                    if self._tr is not None else None)
+                    with self._span("journal.append"):
+                        journal.record(
+                            "run_start", run_id=run_id,
+                            jobs=[{"key": key, "job": job.to_dict()}
+                                  for job, key in zip(jobs, keys)])
                 pending: List[int] = []
                 attempts0: Dict[int, int] = {}
-                for index, (job, key) in enumerate(zip(jobs, keys)):
-                    self._emit(sink, QUEUED, job, key)
-                    cached = self.cache.get(job) if self.cache else None
-                    if cached is not None and key in completed:
-                        results[index] = cached
-                        self._emit(sink, REPLAYED, job, key)
-                        self._emit(sink, FINISHED, job, key,
-                                   cache="replay", wall=0.0)
-                    elif cached is not None:
-                        results[index] = cached
-                        self._emit(sink, CACHE_HIT, job, key)
-                        self._emit(sink, FINISHED, job, key, cache="hit",
-                                   wall=0.0)
-                    else:
-                        pending.append(index)
-                        if carried.get(key):
-                            attempts0[index] = int(carried[key])
-                if probe_span is not None:
-                    probe_span.set_attr("hits", len(jobs) - len(pending))
-                    probe_span.set_attr("pending", len(pending))
-                    probe_span.finish()
+                with self._span("cache.probe") as probe_span:
+                    for index, (job, key) in enumerate(zip(jobs, keys)):
+                        self._emit(sink, QUEUED, job, key)
+                        cached = self.cache.get(job) if self.cache else None
+                        if cached is not None and key in completed:
+                            results[index] = cached
+                            self._emit(sink, REPLAYED, job, key)
+                            self._emit(sink, FINISHED, job, key,
+                                       cache="replay", wall=0.0)
+                        elif cached is not None:
+                            results[index] = cached
+                            self._emit(sink, CACHE_HIT, job, key)
+                            self._emit(sink, FINISHED, job, key,
+                                       cache="hit", wall=0.0)
+                        else:
+                            pending.append(index)
+                            if carried.get(key):
+                                attempts0[index] = int(carried[key])
+                    if probe_span is not None:
+                        probe_span.set_attr("hits",
+                                            len(jobs) - len(pending))
+                        probe_span.set_attr("pending", len(pending))
 
                 if pending:
                     if self.options.jobs <= 1:
@@ -562,25 +554,17 @@ class JobRunner:
                                      else None)
             if trace is not None:
                 trace.close()
-            self.last_spans = (self._spans_path
-                               if self._tr is not None else None)
+            self.last_spans = self._ctx.spans_path
             if collector is not None:
-                mspan = (self._tr.start_span("manifest.write",
-                                             parent=self._run_span)
-                         if self._tr is not None else None)
-                self._write_manifest(jobs, results, collector, error,
-                                     run_id=run_id)
-                if mspan is not None:
-                    mspan.finish()
+                with self._span("manifest.write"):
+                    self._write_manifest(jobs, results, collector, error,
+                                         run_id=run_id)
             if self._tr is not None:
-                if self._run_span is not None:
-                    self._run_span.finish(
-                        "error" if error is not None else None)
-                self._tr.flush(self._spans_path)
+                self._run_span.finish("error" if error is not None else None)
+                self._tr.flush(self._ctx.spans_path)
                 self._tr = None
                 self._run_span = None
-                self._spans_path = None
-            self._flight_dir = None
+            self._ctx = DEFAULT_CONTEXT
 
     def _write_manifest(self, jobs, results, collector, error,
                         run_id=None) -> None:
@@ -633,58 +617,54 @@ class JobRunner:
             job, key = jobs[index], keys[index]
             attempt = attempts.get(index, 0) if attempts else 0
             violation = None
-            jspan = None
-            if self._tr is not None:
-                jspan = self._tr.start_span("job", parent=self._run_span,
-                                            label=job.label, mode=span_mode)
-                set_ambient(self._tr, jspan)
-            try:
-                while True:
-                    self._emit(sink, STARTED, job, key, attempt=attempt)
-                    try:
-                        result, wall = _timed_call(self.execute, job)
-                        break
-                    except InvariantViolation as exc:
-                        violation = exc
-                        break
-                    except TransientJobError as exc:
-                        attempt += 1
-                        if attempt > self.options.retries:
-                            self._fail(sink, job, key, attempt, exc)
-                        self._retry(sink, job, key, attempt, exc)
-                    except Exception as exc:
-                        self._fail(sink, job, key, attempt + 1, exc)
-                if violation is not None:
-                    if jspan is not None:
-                        jspan.set_attr("violation", True)
-                        jspan.finish("error")
-                    results[index] = self._violation_result(
-                        sink, job, key, attempt, violation)
-                    continue
-                timeout = self.options.timeout
-                if timeout is not None and wall > timeout:
-                    self._emit(sink, FAILED, job, key, attempt=attempt,
-                               wall=wall, error="timeout")
-                    raise JobTimeoutError(
-                        f"job {job.label} took {wall:.2f}s, exceeding the "
-                        f"{timeout:.2f}s per-job timeout (serial mode can "
-                        f"only detect this after the fact; use --jobs >= 2 "
-                        f"to preempt)")
-                self._store(job, result)
-                results[index] = result
-                self._emit(sink, FINISHED, job, key, attempt=attempt,
-                           wall=wall, cache=cache_state,
-                           **self._trace_extra(job),
-                           **({"span": jspan.span_id} if jspan else {}))
-            finally:
-                if streams is not None:
-                    streams.release(job.stream_key())
+            with self._span("job", label=job.label, mode=span_mode) as jspan:
                 if jspan is not None:
-                    clear_ambient()
-                    jspan.set_attr("attempt", attempt)
-                    if jspan.end is None:
-                        jspan.finish(
-                            "error" if sys.exc_info()[0] else None)
+                    set_ambient(self._tr, jspan)
+                try:
+                    while True:
+                        self._emit(sink, STARTED, job, key, attempt=attempt)
+                        try:
+                            result, wall = _timed_call(self.execute, job,
+                                                       self._ctx)
+                            break
+                        except InvariantViolation as exc:
+                            violation = exc
+                            break
+                        except TransientJobError as exc:
+                            attempt += 1
+                            if attempt > self.options.retries:
+                                self._fail(sink, job, key, attempt, exc)
+                            self._retry(sink, job, key, attempt, exc)
+                        except Exception as exc:
+                            self._fail(sink, job, key, attempt + 1, exc)
+                    if violation is not None:
+                        if jspan is not None:
+                            jspan.set_attr("violation", True)
+                            jspan.finish("error")
+                        results[index] = self._violation_result(
+                            sink, job, key, attempt, violation)
+                        continue
+                    timeout = self.options.timeout
+                    if timeout is not None and wall > timeout:
+                        self._emit(sink, FAILED, job, key, attempt=attempt,
+                                   wall=wall, error="timeout")
+                        raise JobTimeoutError(
+                            f"job {job.label} took {wall:.2f}s, exceeding "
+                            f"the {timeout:.2f}s per-job timeout (serial "
+                            f"mode can only detect this after the fact; "
+                            f"use --jobs >= 2 to preempt)")
+                    self._store(job, result)
+                    results[index] = result
+                    self._emit(sink, FINISHED, job, key, attempt=attempt,
+                               wall=wall, cache=cache_state,
+                               **self._trace_extra(job),
+                               **({"span": jspan.span_id} if jspan else {}))
+                finally:
+                    if streams is not None:
+                        streams.release(job.stream_key())
+                    if jspan is not None:
+                        clear_ambient()
+                        jspan.set_attr("attempt", attempt)
 
     # -- parallel path -------------------------------------------------------
     @staticmethod
@@ -703,23 +683,6 @@ class JobRunner:
         cache_state = "miss" if self.cache else "off"
         workers = min(self.options.jobs, len(pending))
         timeout = self.options.timeout
-        # Trace propagation across the pool boundary: forked workers
-        # inherit the environment (the same route REPRO_SANITIZE and
-        # REPRO_BACKEND take), so export this run's context before the
-        # pool exists and restore afterwards.  Workers rebuild a tracer
-        # from REPRO_TRACEPARENT, parent their sim spans to the run
-        # span, and append to the shared spans file via O_APPEND.
-        saved_env: Dict[str, Optional[str]] = {}
-        if self._tr is not None:
-            exports = {ENV_PARENT: self._tr.traceparent(self._run_span),
-                       ENV_SAMPLE: "1",
-                       ENV_SPANS: self._spans_path or ""}
-            for name, value in exports.items():
-                saved_env[name] = os.environ.get(name)
-                if value:
-                    os.environ[name] = value
-                else:
-                    os.environ.pop(name, None)
         pool = ProcessPoolExecutor(max_workers=workers)
         aborted = False
         jspans: Dict[int, Any] = {}
@@ -737,7 +700,7 @@ class JobRunner:
                         "job", parent=self._run_span,
                         label=jobs[index].label, mode="pool")
                 futures[index] = pool.submit(_timed_call, self.execute,
-                                             jobs[index])
+                                             jobs[index], self._ctx)
             # Collect in submission order; retries resubmit in place.
             try:
                 for index in pending:
@@ -781,8 +744,8 @@ class JobRunner:
                             self._retry(sink, job, key, attempts[index], exc)
                             self._emit(sink, STARTED, job, key,
                                        attempt=attempts[index])
-                            futures[index] = pool.submit(_timed_call,
-                                                         self.execute, job)
+                            futures[index] = pool.submit(
+                                _timed_call, self.execute, job, self._ctx)
                         except Exception as exc:
                             aborted = True
                             self._abort_pool(pool)
@@ -833,11 +796,6 @@ class JobRunner:
         finally:
             if not aborted:
                 pool.shutdown(wait=True, cancel_futures=True)
-            for name, value in saved_env.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
 
     # -- graceful drain ------------------------------------------------------
     def _drain_indices(self, jobs, keys, indices, results, sink,

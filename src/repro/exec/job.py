@@ -240,9 +240,10 @@ def execute_job(job: SimJob) -> Dict[str, Any]:
                          f"expected one of {sorted(_EXECUTORS)}") from None
     # repro.trace: one "sim.execute" span per executed job.  In the
     # serial path this nests under the engine's ambient job span; in a
-    # pool worker it rebuilds context from REPRO_TRACEPARENT and
-    # parents to the submitting run's span — the cross-process edge of
-    # the trace tree.  Yields None (one attribute test) when untraced.
+    # pool worker it rebuilds context from the run context's
+    # traceparent and parents to the submitting run's span — the
+    # cross-process edge of the trace tree.  Yields None (one attribute
+    # test) when untraced.
     from repro.trace import job_trace_span
 
     with job_trace_span("sim.execute", label=job.label, kind=job.kind):

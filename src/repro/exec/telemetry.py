@@ -100,7 +100,7 @@ class JobEvent:
     #: tripped a repro.sanitize check), as InvariantViolation.to_dict().
     violation: Optional[Dict[str, Any]] = None
     #: Path of the repro.obs event trace this job wrote (finished jobs
-    #: executed under REPRO_OBS_DIR / --trace-events only).
+    #: executed under ``ExecOptions.obs_dir`` / --trace-events only).
     trace: Optional[str] = None
     #: Effective simulation backend of an executed job ("interp" | "vec").
     #: Reports what actually ran — a vec request that fell back to interp
@@ -109,8 +109,8 @@ class JobEvent:
     #: tested.  None on cache hits and non-bar jobs.
     backend: Optional[str] = None
     #: repro.trace span id of this job's span, when the run is sampled
-    #: (``--trace-sample`` / REPRO_TRACE_SAMPLE) — joins the telemetry
-    #: stream to the run's ``spans.jsonl``.  None when tracing is off.
+    #: (``--trace-sample``) — joins the telemetry stream to the run's
+    #: ``spans.jsonl``.  None when tracing is off.
     span: Optional[str] = None
 
     def to_json(self) -> str:

@@ -51,16 +51,20 @@ experiments also refresh their entry in ``BENCH_harness.json``
 :mod:`repro.vec`): ``interp`` is the original object-per-instruction
 interpreter, ``vec`` decodes each workload's op stream once into flat
 arrays and replays it with flat kernels — digit-exact statistics,
-several times faster on cold grids.  The flag sets ``REPRO_BACKEND``
-(pool workers inherit it); the backend is never part of a job's cache
-key, so either backend reads and writes the same result cache.
+several times faster on cold grids.  The backend is never part of a
+job's cache key, so either backend reads and writes the same result
+cache.
 
 ``--sanitize`` turns on the runtime invariant sanitizer
 (:mod:`repro.sanitize`): every simulated cell runs with live checks of
 the cache tag stores, MSHR lifetimes and informing-trap semantics, and a
 violation fails that cell with a structured record instead of silently
-wrong bars.  Results are bit-exact with and without it.  The flag works
-by setting ``REPRO_SANITIZE=1``, which forked pool workers inherit.
+wrong bars.  Results are bit-exact with and without it.
+
+These run settings (``--backend``, ``--sanitize``, ``--trace-events``,
+``--trace-sample``) fill the engine's ``ExecOptions``; each run resolves
+them into one :class:`repro.context.RunContext` that travels with every
+job, pool workers included.  Nothing is exported to the environment.
 
 Cross-run observatory (see :mod:`repro.perf`): every engine-backed run
 writes ``results/runs/<run_id>/manifest.json`` (git sha, config digest,
@@ -82,17 +86,16 @@ the result cache (never re-simulated), incomplete cells re-run with
 their attempt counts carried over, and the resumed figure is digit-exact
 with an uninterrupted run.
 
-Request tracing (see :mod:`repro.trace`): ``--trace-sample RATE`` sets
-``REPRO_TRACE_SAMPLE`` so a sampled engine run (and its forked pool
-workers) records a span tree — run, per-job, decode, replay, export —
+Request tracing (see :mod:`repro.trace`): under ``--trace-sample RATE``
+a sampled engine run (and its pool workers) records a span tree — run,
+per-job, decode, replay, export —
 next to the run manifest as ``spans.jsonl``; results stay digit-exact.
 Analyze it afterwards with ``python -m repro.harness spans <run_id>``:
 span tree, critical path, per-name self time, p99 anomalies and a
 manifest wall cross-check (``--check`` makes it a CI assertion).
 
 ``--trace-events DIR`` turns on the observability layer
-(:mod:`repro.obs`) the same way — it sets ``REPRO_OBS=1`` and
-``REPRO_OBS_DIR=DIR`` so every simulated cell (pool workers included)
+(:mod:`repro.obs`): every simulated cell (pool workers included)
 writes a cycle-stamped ``*.events.jsonl`` trace and ``*.metrics.json``
 under DIR, and each job's ``finished`` telemetry event carries its
 trace path.  Results stay bit-exact; drill into a cell afterwards with
@@ -102,7 +105,6 @@ trace path.  Results stay bit-exact; drill into a cell afterwards with
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.harness import configs
@@ -190,6 +192,10 @@ def _build_engine(args, argv=None):
         trace_path=args.trace,
         progress=args.progress,
         manifest_dir=manifest_dir,
+        backend=args.backend,
+        sanitize=args.sanitize,
+        obs_dir=args.trace_events,
+        trace_sample=args.trace_sample,
         run_meta={"experiment": args.experiment,
                   "argv": list(argv) if argv is not None else None,
                   "seed": args.seed,
@@ -247,8 +253,7 @@ def main(argv=None) -> int:
                               help="simulation backend (repro.vec): "
                                    "'interp' object interpreters (the "
                                    "default), 'vec' flat decoded-stream "
-                                   "replay — digit-exact, faster; also "
-                                   "settable via REPRO_BACKEND")
+                                   "replay — digit-exact, faster")
     engine_group.add_argument("--sanitize", action="store_true",
                               help="run with the runtime invariant "
                                    "sanitizer (repro.sanitize) attached "
@@ -258,7 +263,7 @@ def main(argv=None) -> int:
                               help="repro.trace sampling rate in [0,1]: "
                                    "a sampled run writes a spans.jsonl "
                                    "span tree next to its manifest "
-                                   "(default REPRO_TRACE_SAMPLE, then 0)")
+                                   "(default 0: off)")
     engine_group.add_argument("--trace-events", default=None, metavar="DIR",
                               help="attach the repro.obs observer to every "
                                    "simulated cell and write per-cell "
@@ -277,26 +282,9 @@ def main(argv=None) -> int:
     sizes = _sizes(args.quick)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.sanitize:
-        # Through the environment rather than plumbed per-job: forked
-        # pool workers inherit it, so --jobs N sanitizes every worker.
-        os.environ["REPRO_SANITIZE"] = "1"
-    if args.backend:
-        # Same environment route: the backend is an execution detail
-        # (results are digit-exact), never part of a job's cache key.
-        os.environ["REPRO_BACKEND"] = args.backend
-    if args.trace_sample is not None:
-        # Environment route like --sanitize: the engine reads it when
-        # ExecOptions.trace_sample is unset, and forked pool workers
-        # inherit the run's sampling decision with it.
-        if not 0.0 <= args.trace_sample <= 1.0:
-            parser.error("--trace-sample must be in [0, 1]")
-        os.environ["REPRO_TRACE_SAMPLE"] = repr(args.trace_sample)
-    if args.trace_events:
-        # Same environment route as --sanitize, so --jobs N traces every
-        # worker; REPRO_OBS_DIR alone implies REPRO_OBS.
-        os.environ["REPRO_OBS"] = "1"
-        os.environ["REPRO_OBS_DIR"] = args.trace_events
+    if (args.trace_sample is not None
+            and not 0.0 <= args.trace_sample <= 1.0):
+        parser.error("--trace-sample must be in [0, 1]")
 
     # Seed only affects the SPEC92 workload generators.
     if args.seed and args.experiment in ("table1", "table2", "figure4",

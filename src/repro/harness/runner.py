@@ -127,27 +127,29 @@ def run_bar(
 
     ``seed`` is a workload seed offset (see
     :func:`repro.workloads.spec92.spec92_workload`); 0 keeps the default
-    seed path untouched.  ``sanitize`` attaches a
-    :class:`repro.sanitize.Sanitizer` (runtime invariant checking) to the
-    core; None defers to the ``REPRO_SANITIZE`` environment variable —
-    which is how the ``--sanitize`` CLI flag reaches pool workers.
+    seed path untouched.  ``sanitize``, ``observe`` and ``backend`` left
+    at None defer to the current :class:`repro.context.RunContext` —
+    the route the ``--sanitize``, ``--trace-events`` and ``--backend``
+    CLI flags take to every job, pool workers included; outside an
+    engine run that is the default context (all off, interp).
+
+    ``sanitize`` attaches a :class:`repro.sanitize.Sanitizer` (runtime
+    invariant checking) to the core.
 
     ``observe`` attaches a :class:`repro.obs.Observer` (event tracing and
-    metrics): pass an Observer to keep, True/False to force one on/off,
-    or None to defer to ``REPRO_OBS`` / ``REPRO_OBS_DIR`` — which is how
-    ``--trace-events`` reaches pool workers.  When a trace directory is
-    configured (*trace_dir* or ``REPRO_OBS_DIR``), the run writes
+    metrics): pass an Observer to keep, or True/False to force one
+    on/off.  When a trace directory is configured (*trace_dir*, else the
+    context's ``obs_dir``), the run writes
     ``<benchmark>_<machine>_<label>.events.jsonl`` and
     ``*.metrics.json`` there; the returned BarResult is bit-exact with
     an unobserved run either way.
 
     ``backend`` selects the simulation backend (see :mod:`repro.vec`):
-    ``"interp"`` (object interpreters), ``"vec"`` (flat decoded-stream
-    replay, digit-exact with interp), or None to defer to
-    ``REPRO_BACKEND`` — the route the ``--backend`` CLI flag and pool
-    workers share.  The vec backend has no sanitizer/observer hooks and
-    no Python-callback handler support, so those runs (and unsupported
-    bars) transparently use interp; results are identical either way.
+    ``"interp"`` (object interpreters) or ``"vec"`` (flat decoded-stream
+    replay, digit-exact with interp).  The vec backend has no
+    sanitizer/observer hooks and no Python-callback handler support, so
+    those runs (and unsupported bars) transparently use interp; results
+    are identical either way.
 
     ``policy`` selects the L1/L2 replacement policy by registry name
     (:mod:`repro.memory.replacement`); ``"lru"`` is the paper's default.
@@ -158,8 +160,9 @@ def run_bar(
     :func:`repro.memory.derive_seed` — seed 0 keeps the historical
     constant, so existing captures stay digit-exact.
     """
+    from repro.context import current_context
     from repro.memory import derive_seed
-    from repro.obs import Observer, maybe_observer, obs_trace_dir
+    from repro.obs import Observer, maybe_observer
     from repro.sanitize import maybe_sanitizer
     from repro.trace import ambient
     from repro.vec import resolve_backend, vec_supports
@@ -169,6 +172,9 @@ def run_bar(
     # path — every guard below is a single identity test, preserving the
     # hot-path numbers the perf gate pins.
     tracer, parent_span = ambient()
+    ctx = current_context()
+    if backend is None:
+        backend = ctx.backend
     san = maybe_sanitizer(sanitize)
     if isinstance(observe, Observer):
         obs: Optional[Observer] = observe
@@ -216,7 +222,7 @@ def run_bar(
         replay_span.set_attr("cycles", stats.cycles)
         replay_span.finish()
     if obs is not None:
-        directory = trace_dir or obs_trace_dir()
+        directory = trace_dir or ctx.obs_dir
         if directory:
             from repro.obs import write_run_artifacts
 

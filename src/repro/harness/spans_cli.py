@@ -79,7 +79,7 @@ def resolve_spans(ref: str, manifest_root: Optional[str]
     if not os.path.isfile(path):
         return None, None, (f"run {manifest['run_id']} has no spans.jsonl "
                             "(was it run with tracing on? see "
-                            "--trace-sample / REPRO_TRACE_SAMPLE)")
+                            "--trace-sample)")
     return path, manifest, None
 
 

@@ -14,14 +14,11 @@ timeline.  Exporters serialize traces as JSONL or Chrome
 text report.
 
 Enable per-run with ``run_bar(..., observe=Observer())``, or for a whole
-harness invocation (including pool workers, which inherit the
-environment) with ``--trace-events DIR`` / ``REPRO_OBS=1``:
-
-* ``REPRO_OBS=1`` — attach an observer to every simulated cell
-  (metrics only unless a trace directory is set);
-* ``REPRO_OBS_DIR=DIR`` — also capture full event traces and write
-  ``<benchmark>_<machine>_<label>.events.jsonl`` + ``*.metrics.json``
-  per cell under ``DIR`` (implies ``REPRO_OBS=1``).
+engine run (pool workers included) with ``--trace-events DIR``
+(``ExecOptions.obs_dir``, carried to every job by the
+:class:`repro.context.RunContext`): every simulated cell then writes
+``<benchmark>_<machine>_<label>.events.jsonl`` + ``*.metrics.json``
+under ``DIR``.
 
 Observation is strictly read-only: traced runs are bit-exact with
 untraced ones (CI replays the golden ``figure2 --quick`` grid under
@@ -33,6 +30,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+from repro.context import current_context
 from repro.obs.events import EVENT_KINDS, make_event
 from repro.obs.export import (
     chrome_trace,
@@ -48,14 +46,7 @@ from repro.obs.metrics import Counter, Histogram, Registry, top_n
 from repro.obs.observer import Observer
 from repro.obs.report import render_report, report_main, summarize
 
-#: Environment variable that enables observation ("1"/"true"/"yes").
-ENV_VAR = "REPRO_OBS"
-#: Directory for per-run trace artifacts; setting it implies ENV_VAR.
-ENV_DIR = "REPRO_OBS_DIR"
-
 __all__ = [
-    "ENV_DIR",
-    "ENV_VAR",
     "EVENT_KINDS",
     "Counter",
     "Histogram",
@@ -65,8 +56,6 @@ __all__ = [
     "job_trace_path",
     "make_event",
     "maybe_observer",
-    "obs_enabled",
-    "obs_trace_dir",
     "parse_openmetrics",
     "read_jsonl",
     "render_report",
@@ -81,30 +70,16 @@ __all__ = [
 ]
 
 
-def obs_enabled() -> bool:
-    """True when the environment requests observation."""
-    if os.environ.get(ENV_DIR, "").strip():
-        return True
-    return os.environ.get(ENV_VAR, "").strip().lower() in ("1", "true", "yes")
-
-
-def obs_trace_dir() -> Optional[str]:
-    """The per-run trace-artifact directory, or None for metrics-only."""
-    return os.environ.get(ENV_DIR, "").strip() or None
-
-
 def maybe_observer(explicit: Optional[bool] = None) -> Optional[Observer]:
-    """A fresh :class:`Observer`, or None when observation is off.
+    """A fresh event-capturing :class:`Observer`, or None when off.
 
-    *explicit* overrides the environment in both directions (tests pass
-    False to pin observation off regardless of the environment).  Event
-    capture is enabled when a trace directory is configured; otherwise
-    the observer aggregates metrics only.
+    *explicit* overrides the current run context in both directions;
+    None defers to it (observation is on when ``RunContext.obs_dir`` is
+    set).
     """
-    enabled = obs_enabled() if explicit is None else explicit
-    if not enabled:
-        return None
-    return Observer(trace=explicit is True or obs_trace_dir() is not None)
+    if explicit is None:
+        explicit = current_context().obs_dir is not None
+    return Observer(trace=True) if explicit else None
 
 
 def job_trace_path(directory: str, label: str) -> str:

@@ -85,11 +85,9 @@ def config_digest(jobs: Sequence) -> str:
     return digest.hexdigest()
 
 
-def _metrics_digest(label: str) -> Optional[str]:
-    """Digest of the cell's repro.obs metrics.json, when one was written."""
-    from repro.obs import obs_trace_dir
-
-    directory = obs_trace_dir()
+def _metrics_digest(directory: Optional[str], label: str) -> Optional[str]:
+    """Digest of the cell's repro.obs metrics.json under the run's obs
+    *directory*, when one was written."""
     if not directory:
         return None
     path = os.path.join(directory,
@@ -115,7 +113,8 @@ def _sim_view(result: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
 
 
 def build_cells(jobs: Sequence, results: Sequence[Optional[Dict[str, Any]]],
-                events: Sequence[JobEvent]) -> List[Dict[str, Any]]:
+                events: Sequence[JobEvent],
+                obs_dir: Optional[str] = None) -> List[Dict[str, Any]]:
     """Fold the telemetry stream + results into per-cell records."""
     finished: Dict[str, JobEvent] = {}
     attempts: Dict[str, int] = {}
@@ -149,7 +148,7 @@ def build_cells(jobs: Sequence, results: Sequence[Optional[Dict[str, Any]]],
             "trace": done.trace if done is not None else None,
             "attempts": attempts.get(key, 0),
             "sim": _sim_view(result),
-            "metrics_digest": _metrics_digest(job.label),
+            "metrics_digest": _metrics_digest(obs_dir, job.label),
         })
     return cells
 
@@ -184,7 +183,8 @@ def build_manifest(jobs: Sequence,
         "error": (f"{type(error).__name__}: {error}"
                   if error is not None else None),
         "stats": runner.stats.as_dict(),
-        "cells": build_cells(jobs, results, events),
+        "cells": build_cells(jobs, results, events,
+                             obs_dir=runner.options.obs_dir),
     }
 
 

@@ -68,14 +68,22 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="RATE",
                         help="repro.trace sampling rate in [0,1] for "
                              "requests without their own traceparent "
-                             "header (default: REPRO_TRACE_SAMPLE, then "
-                             "0 = off); sampled requests write a span "
-                             "tree next to their run manifest")
+                             "header (default 0: off); sampled requests "
+                             "write a span tree next to their run "
+                             "manifest")
     parser.add_argument("--trace-dir", default=None,
                         help="span destination for traced requests that "
                              "produce no run directory (cache hits, "
                              "rejections): <dir>/serve_spans.jsonl "
                              "(default: --manifest-dir)")
+    parser.add_argument("--backend", choices=("interp", "vec"),
+                        default=None,
+                        help="simulation backend for served bar jobs "
+                             "(repro.vec; digit-exact either way, "
+                             "default interp)")
+    parser.add_argument("--sanitize", action="store_true",
+                        help="run every served cell with the runtime "
+                             "invariant sanitizer (repro.sanitize)")
     parser.add_argument("--drain-grace", type=float, default=30.0,
                         help="seconds to wait for in-flight jobs on "
                              "shutdown")
@@ -102,6 +110,8 @@ def options_from_args(args) -> ServeOptions:
         journal_path=args.journal,
         trace_sample=trace_sample(args.trace_sample),
         trace_dir=args.trace_dir,
+        backend=args.backend,
+        sanitize=args.sanitize,
     )
 
 

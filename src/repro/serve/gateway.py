@@ -40,6 +40,7 @@ from repro.exec.job import execute_job
 from repro.obs.metrics import Registry
 from repro.serve.spec import SpecError, validate_job_spec
 from repro.trace import flight, maybe_tracer, parse_traceparent
+from repro.vec import resolve_backend
 
 
 class RateLimited(Exception):
@@ -120,6 +121,12 @@ class ServeOptions:
     #: sampled context is always traced, an unsampled one never.  0.0
     #: (the default) keeps the request path span-free.
     trace_sample: float = 0.0
+    #: Simulation backend every shard runs bar jobs on ("interp" |
+    #: "vec"); None means interp.  A job spec's own ``backend`` field is
+    #: validated but never overrides it.
+    backend: Optional[str] = None
+    #: Attach the runtime invariant sanitizer to every served cell.
+    sanitize: bool = False
     #: Fallback span destination for traced requests that never reach a
     #: run directory (cache hits, rejections): ``<trace_dir>/
     #: serve_spans.jsonl``.  None falls back to ``manifest_dir``.
@@ -196,6 +203,7 @@ class Gateway:
     def __init__(self, options: Optional[ServeOptions] = None, *,
                  execute=execute_job) -> None:
         self.options = options or ServeOptions()
+        resolve_backend(self.options.backend)  # BackendError on a typo
         self.execute = execute
         self.registry = Registry()
         self.cache = ResultCache(
@@ -567,10 +575,10 @@ class Gateway:
             # The gateway's own journal covers served jobs; a per-request
             # engine journal would just double the fsync traffic.
             journal=False,
+            backend=self.options.backend,
+            sanitize=self.options.sanitize,
             # Traced requests hand their context across the engine
-            # boundary; untraced ones pin sampling to 0 so a stray
-            # REPRO_TRACE_SAMPLE cannot trace half a request.
-            trace_sample=0.0,
+            # boundary.
             trace_parent=(tracer.traceparent(dispatch_span)
                           if tracer is not None else None),
             run_meta={"experiment": "serve",
@@ -634,9 +642,7 @@ class Gateway:
         from repro.durable.journal import JOURNAL_SCHEMA
         from repro.exec.job import SCHEMA_VERSION
         from repro.exec.telemetry import TELEMETRY_SCHEMA, git_sha
-        from repro.obs import obs_enabled
         from repro.perf.manifest import MANIFEST_SCHEMA
-        from repro.sanitize import sanitize_enabled
         from repro.trace import SPAN_SCHEMA
 
         return {
@@ -654,9 +660,9 @@ class Gateway:
                 "journal": JOURNAL_SCHEMA,
                 "spans": SPAN_SCHEMA,
             },
+            "backend": resolve_backend(self.options.backend),
             "subsystems": {
-                "obs": obs_enabled(),
-                "sanitize": sanitize_enabled(),
+                "sanitize": self.options.sanitize,
                 "trace": self.options.trace_sample > 0.0,
                 "durable": self.journal is not None,
             },

@@ -121,7 +121,7 @@ def _validate_bar(payload: Mapping[str, Any]) -> SimJob:
         # silently dropped) but *never* part of the SimJob: backends are
         # digit-exact, so the job's cache key — the service's identity —
         # is backend-free, and which backend a shard actually runs is
-        # the server operator's choice (REPRO_BACKEND).
+        # the server operator's choice (ServeOptions.backend).
         from repro.vec import BackendError, resolve_backend
 
         backend = payload["backend"]

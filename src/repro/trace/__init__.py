@@ -2,7 +2,7 @@
 
 Follows the zero-cost-when-off pattern established by ``repro.sanitize``
 and ``repro.obs``: tracing is enabled per-run by a sampling rate
-(``--trace-sample`` / ``REPRO_TRACE_SAMPLE``, default 0.0) and every
+(``--trace-sample`` / ``ExecOptions.trace_sample``, default 0.0) and every
 instrumentation site guards with ``if tracer is not None`` (or the
 equivalent ambient check), so the disabled path costs one attribute
 test.
@@ -12,11 +12,11 @@ Propagation:
 * **HTTP** — the W3C ``traceparent`` header carries the context from
   ``repro.serve``'s client through the gateway (see
   :mod:`repro.trace.context`).
-* **Process pool** — the exec engine exports ``REPRO_TRACEPARENT`` /
-  ``REPRO_TRACE_SPANS`` before creating the pool, and workers rebuild
-  a tracer from the environment on first traced job
-  (:func:`job_trace_span`), appending to the same ``spans.jsonl`` via
-  atomic ``O_APPEND`` writes.
+* **Process pool** — the exec engine ships each job with a
+  :class:`repro.context.RunContext` carrying the run span's
+  ``traceparent`` and the spans path; workers rebuild a tracer from it
+  on the first traced job (:func:`job_trace_span`), appending to the
+  same ``spans.jsonl`` via atomic ``O_APPEND`` writes.
 * **In-process** — a thread-local *ambient* (tracer, current span)
   lets deep code (``run_bar``, obs stamping) attach spans without
   threading tracer arguments through every call.
@@ -24,10 +24,11 @@ Propagation:
 
 from __future__ import annotations
 
-import os
 import random
 import threading
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
+
+from repro.context import current_context
 
 from .context import (
     TraceContext,
@@ -36,18 +37,10 @@ from .context import (
     new_trace_id,
     parse_traceparent,
 )
-from .flight import ENV_FLIGHT_DIR, FlightRecorder, flight
+from .flight import FlightRecorder, flight
 from .span import SPAN_SCHEMA, Span, Tracer
 
-ENV_SAMPLE = "REPRO_TRACE_SAMPLE"
-ENV_PARENT = "REPRO_TRACEPARENT"
-ENV_SPANS = "REPRO_TRACE_SPANS"
-
 __all__ = [
-    "ENV_SAMPLE",
-    "ENV_PARENT",
-    "ENV_SPANS",
-    "ENV_FLIGHT_DIR",
     "SPAN_SCHEMA",
     "Span",
     "Tracer",
@@ -68,19 +61,9 @@ __all__ = [
 ]
 
 
-def trace_sample(explicit: Optional[float] = None) -> float:
-    """Effective sampling rate in [0, 1]; malformed env values mean off."""
-    if explicit is not None:
-        rate = explicit
-    else:
-        raw = os.environ.get(ENV_SAMPLE, "")
-        if not raw:
-            return 0.0
-        try:
-            rate = float(raw)
-        except ValueError:
-            return 0.0
-    return min(1.0, max(0.0, rate))
+def trace_sample(rate: Optional[float] = None) -> float:
+    """*rate* clamped to [0, 1]; None means off."""
+    return min(1.0, max(0.0, rate or 0.0))
 
 
 def maybe_tracer(
@@ -89,14 +72,12 @@ def maybe_tracer(
 ) -> Optional[Tracer]:
     """A Tracer if this run is sampled, else None.
 
-    Head-based sampling: when *parent* (a ``traceparent`` header or the
-    ``REPRO_TRACEPARENT`` env value) carries a valid context, its
-    sampled flag is the decision — sampled parents are continued,
-    unsampled parents disable tracing regardless of the local rate.
-    Without a parent, a coin weighted by the sampling rate decides.
+    Head-based sampling: when *parent* (a ``traceparent`` header, or a
+    run context's) carries a valid context, its sampled flag is the
+    decision — sampled parents are continued, unsampled parents disable
+    tracing regardless of the local rate.  Without a parent, a coin
+    weighted by the sampling rate decides.
     """
-    if parent is None:
-        parent = os.environ.get(ENV_PARENT)
     ctx = parse_traceparent(parent)
     if ctx is not None:
         if not ctx.sampled:
@@ -142,16 +123,15 @@ _WORKER_TRACER: Optional[Tracer] = None
 _WORKER_PARENT: Optional[str] = None
 
 
-def _worker_tracer() -> Optional[Tracer]:
-    """Tracer rebuilt from the environment inside a pool worker.
+def _worker_tracer(parent: Optional[str]) -> Optional[Tracer]:
+    """Tracer rebuilt from a run context's *parent* inside a pool worker.
 
-    Cached per (process, REPRO_TRACEPARENT value): the engine exports a
-    fresh parent per run, so a long-lived worker reused across runs
-    re-keys correctly.  Returns None when the env carries no sampled
-    context — the common (untraced) case costs one dict lookup.
+    Cached per (process, parent): each run ships a fresh parent, so a
+    long-lived worker reused across runs re-keys correctly.  Returns
+    None when the run is not sampled — the common (untraced) case costs
+    one ``is None`` test.
     """
     global _WORKER_TRACER, _WORKER_PARENT
-    parent = os.environ.get(ENV_PARENT)
     if not parent:
         return None
     with _WORKER_LOCK:
@@ -165,31 +145,30 @@ class _JobSpanScope:
     """Context manager wrapping one job execution in a span.
 
     Chooses the ambient tracer when present (serial path / serve
-    shard), else a worker tracer derived from the environment (pool
-    path).  Worker-owned spans are flushed to ``REPRO_TRACE_SPANS``
-    after every job so a killed worker loses at most the in-flight job.
+    shard), else a worker tracer derived from the current run context
+    (pool path).  Worker-owned spans are flushed to the context's spans
+    path after every job so a killed worker loses at most the in-flight
+    job.
     """
 
-    __slots__ = ("_tracer", "_span", "_owns_ambient", "_worker_owned", "_saved")
+    __slots__ = ("_tracer", "_span", "_spans_path", "_saved")
 
     def __init__(self, name: str, **attrs: Any) -> None:
         tracer, parent = ambient()
-        self._worker_owned = False
+        self._spans_path: Optional[str] = None
         self._saved: Tuple[Optional[Tracer], Optional[Span]] = (None, None)
         if tracer is None:
-            tracer = _worker_tracer()
-            self._worker_owned = tracer is not None
+            run = current_context()
+            tracer = _worker_tracer(run.traceparent)
+            if tracer is not None:
+                self._spans_path = run.spans_path
             parent = None
         self._tracer = tracer
-        if tracer is None:
-            self._span = None
-            self._owns_ambient = False
-            return
-        self._span = tracer.start_span(name, parent=parent, **attrs)
-        self._owns_ambient = True
+        self._span = (tracer.start_span(name, parent=parent, **attrs)
+                      if tracer is not None else None)
 
     def __enter__(self) -> Optional[Span]:
-        if self._span is not None and self._owns_ambient:
+        if self._span is not None:
             self._saved = ambient()
             set_ambient(self._tracer, self._span)
         return self._span
@@ -197,11 +176,10 @@ class _JobSpanScope:
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._span is None:
             return
-        if self._owns_ambient:
-            set_ambient(*self._saved)
+        set_ambient(*self._saved)
         self._span.finish("error" if exc_type is not None else None)
-        if self._worker_owned and self._tracer is not None:
-            self._tracer.flush(os.environ.get(ENV_SPANS))
+        if self._spans_path is not None:
+            self._tracer.flush(self._spans_path)
 
 
 def job_trace_span(name: str, **attrs: Any) -> _JobSpanScope:

@@ -18,9 +18,8 @@ from threading import Lock
 from typing import Any, Deque, Dict, List, Optional
 
 FLIGHT_CAPACITY = 256
-ENV_FLIGHT_DIR = "REPRO_TRACE_FLIGHT_DIR"
 
-__all__ = ["FlightRecorder", "flight", "FLIGHT_CAPACITY", "ENV_FLIGHT_DIR"]
+__all__ = ["FlightRecorder", "flight", "FLIGHT_CAPACITY"]
 
 
 class FlightRecorder:
@@ -65,14 +64,12 @@ class FlightRecorder:
             "dump_errors": self.dump_errors,
         }
 
-    def dump(self, reason: str, directory: Optional[str] = None) -> Optional[str]:
-        """Write the ring's tail to ``flight_<reason>_<pid>.json``.
+    def dump(self, reason: str, directory: str) -> Optional[str]:
+        """Write the ring's tail to ``<directory>/flight_<reason>_<pid>.json``.
 
-        *directory* defaults to ``$REPRO_TRACE_FLIGHT_DIR`` then the
-        current directory.  Returns the artifact path, or None on
-        failure (never raises — this runs on crash paths).
+        Returns the artifact path, or None on failure (never raises —
+        this runs on crash paths).
         """
-        directory = directory or os.environ.get(ENV_FLIGHT_DIR) or "."
         safe = "".join(c if (c.isalnum() or c in "-_") else "_" for c in reason) or "unknown"
         path = os.path.join(directory, f"flight_{safe}_{os.getpid()}.json")
         payload = {

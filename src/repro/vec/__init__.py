@@ -19,47 +19,38 @@ job's identity: :meth:`repro.exec.SimJob.cache_key` never includes it
 (proven by ``tests/test_vec_parity.py``), and either backend may
 populate or hit the shared result cache.
 
-Selection: the ``--backend {interp,vec}`` harness flag, the
-``backend`` field of a serve job spec, or the ``REPRO_BACKEND``
-environment variable (which forked pool workers inherit, the same
-route ``--sanitize`` uses).
+Selection: the ``--backend {interp,vec}`` harness and serve flag
+(``ExecOptions.backend`` / ``ServeOptions.backend``), which the
+:class:`repro.context.RunContext` carries to every job, or the
+``backend=`` argument of :func:`repro.harness.runner.run_bar`.  A serve
+job spec's ``backend`` field is validated but never selects anything.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 #: Recognised backend names, in preference-documentation order.
 BACKENDS = ("interp", "vec")
 
-#: Environment variable consulted when no explicit backend is given.
-BACKEND_ENV = "REPRO_BACKEND"
 
 class BackendError(ValueError):
     """An unknown backend name reached the dispatch layer."""
 
 
 def resolve_backend(explicit: Optional[str] = None) -> str:
-    """The backend to use: *explicit* if given, else ``REPRO_BACKEND``,
-    else ``interp``.
+    """The backend to use: *explicit* if given, else ``interp``.
 
     Raises:
-        BackendError: when the explicit or environment value is not one
-            of :data:`BACKENDS`.
+        BackendError: when *explicit* is not one of :data:`BACKENDS`.
     """
-    value = explicit
-    source = "backend"
-    if value is None:
-        value = os.environ.get(BACKEND_ENV) or None
-        source = BACKEND_ENV
-    if value is None:
+    if explicit is None:
         return "interp"
-    if value not in BACKENDS:
+    if explicit not in BACKENDS:
         raise BackendError(
-            f"{source}: unknown backend {value!r}; expected one of "
+            f"backend: unknown backend {explicit!r}; expected one of "
             f"{list(BACKENDS)}")
-    return value
+    return explicit
 
 
 #: Replacement policies the flat kernels express exactly: the dict-order
@@ -102,7 +93,6 @@ def run_bar_vec(benchmark: str, machine_key: str, bar,
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_ENV",
     "VEC_POLICIES",
     "BackendError",
     "resolve_backend",

@@ -6,7 +6,6 @@ import pytest
 
 from repro.durable import (
     BATCH_FSYNC_INTERVAL,
-    ENV_FSYNC,
     RunJournal,
     check_header,
     frame,
@@ -91,14 +90,9 @@ class TestReadRecords:
 
 
 class TestFsyncPolicy:
-    def test_default_is_always(self, monkeypatch):
-        monkeypatch.delenv(ENV_FSYNC, raising=False)
+    def test_default_is_always(self):
         assert fsync_policy() == "always"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_FSYNC, "batch")
-        assert fsync_policy() == "batch"
-        assert fsync_policy("off") == "off"  # explicit beats env
+        assert fsync_policy("off") == "off"
 
     def test_typo_raises(self):
         with pytest.raises(ValueError, match="unknown fsync policy"):

@@ -1,6 +1,7 @@
 """Integration tests for the CLI entry point (quick mode)."""
 
 import json
+import os
 
 import pytest
 
@@ -65,6 +66,38 @@ class TestCLIEngineFlags:
             self.F2 + ["--jobs", "4", "--no-cache", "--no-bench"],
             tmp_path, "parallel.json")
         assert serial == parallel
+        capsys.readouterr()
+
+    def test_run_settings_reach_workers_not_the_environment(self, capsys,
+                                                            tmp_path):
+        """--sanitize/--backend/--trace-sample/--trace-events reach every
+        pool worker with the jobs; os.environ is left untouched."""
+        plain = self.run_json(self.F2 + ["--no-cache", "--no-bench"],
+                              tmp_path, "plain.json")
+        events_dir = tmp_path / "events"
+        telemetry = tmp_path / "telemetry.jsonl"
+        before = dict(os.environ)
+        ctx = self.run_json(
+            self.F2 + ["--sanitize", "--backend", "vec",
+                       "--trace-sample", "1",
+                       "--trace-events", str(events_dir), "--jobs", "2",
+                       "--no-cache", "--no-bench",
+                       "--trace", str(telemetry),
+                       "--manifest-dir", str(tmp_path / "runs")],
+            tmp_path, "ctx.json")
+        assert dict(os.environ) == before
+        assert ctx == plain  # digit-exact under every setting
+        # Every cell was observed, in whichever process ran it.
+        assert len(list(events_dir.glob("*.events.jsonl"))) == 10
+        finished = [json.loads(line) for line in
+                    telemetry.read_text().splitlines()[1:]]
+        finished = [e for e in finished if e["event"] == "finished"]
+        # A sanitizer or observer keeps vec requests on interp.
+        assert [e["backend"] for e in finished] == ["interp"] * 10
+        (spans,) = (tmp_path / "runs").rglob("spans.jsonl")
+        pids = {json.loads(line)["pid"]
+                for line in spans.read_text().splitlines()}
+        assert len(pids) >= 2  # pool workers joined the run's trace
         capsys.readouterr()
 
     def test_cache_round_trip_reports_hits(self, capsys, tmp_path,

@@ -2,7 +2,7 @@
 
 Covers the event taxonomy, the metrics registry, Observer hook
 behaviour (trace vs metrics-only, handler-run tracking, conflict heat,
-MSHR high-water timeline, reset), environment gating, and both trace
+MSHR high-water timeline, reset), run-context gating, and both trace
 exporters (JSONL round-trip, Chrome ``trace_event`` schema).
 """
 
@@ -11,17 +11,14 @@ import os
 
 import pytest
 
+from repro.context import RunContext
 from repro.obs import (
-    ENV_DIR,
-    ENV_VAR,
     EVENT_KINDS,
     Observer,
     chrome_trace,
     job_trace_path,
     make_event,
     maybe_observer,
-    obs_enabled,
-    obs_trace_dir,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -237,36 +234,20 @@ class TestObserverHooks:
 
 
 class TestEnvironmentGating:
-    def _clear(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        monkeypatch.delenv(ENV_DIR, raising=False)
+    """Gating by the run environment a cell executes in: the current
+    :class:`repro.context.RunContext`."""
 
-    def test_off_by_default(self, monkeypatch):
-        self._clear(monkeypatch)
-        assert not obs_enabled()
-        assert obs_trace_dir() is None
+    def test_off_by_default(self):
         assert maybe_observer() is None
 
-    def test_env_var_enables_metrics_only(self, monkeypatch):
-        self._clear(monkeypatch)
-        monkeypatch.setenv(ENV_VAR, "1")
-        assert obs_enabled()
-        obs = maybe_observer()
-        assert obs is not None and obs.trace is False
-
-    def test_trace_dir_implies_enabled_and_tracing(self, monkeypatch):
-        self._clear(monkeypatch)
-        monkeypatch.setenv(ENV_DIR, "/tmp/traces")
-        assert obs_enabled()
-        assert obs_trace_dir() == "/tmp/traces"
-        obs = maybe_observer()
+    def test_trace_dir_implies_enabled_and_tracing(self):
+        with RunContext(obs_dir="/tmp/traces"):
+            obs = maybe_observer()
         assert obs is not None and obs.trace is True
 
-    def test_explicit_overrides_environment(self, monkeypatch):
-        self._clear(monkeypatch)
-        monkeypatch.setenv(ENV_VAR, "1")
-        assert maybe_observer(False) is None
-        self._clear(monkeypatch)
+    def test_explicit_overrides_environment(self):
+        with RunContext(obs_dir="/tmp/traces"):
+            assert maybe_observer(False) is None
         obs = maybe_observer(True)
         assert obs is not None and obs.trace is True
 

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from tests.helpers import make_inorder, make_ooo, small_hierarchy, trap_config
+from repro.context import RunContext
 from repro.core.mechanisms import INSTRUCTION_BYTES, return_pc
 from repro.sanitize import (
     CAUGHT_BY,
@@ -14,7 +15,6 @@ from repro.sanitize import (
     InvariantViolation,
     Sanitizer,
     maybe_sanitizer,
-    sanitize_enabled,
 )
 from tests.test_golden_parity import (
     COMPARED_FIELDS,
@@ -76,18 +76,13 @@ class TestCatalog:
 
 
 class TestEnabling:
-    def test_env_var_enables(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert not sanitize_enabled()
+    def test_explicit_overrides_env_both_ways(self):
+        """An explicit argument beats the run environment — the current
+        RunContext — in both directions."""
         assert maybe_sanitizer() is None
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert sanitize_enabled()
-        assert isinstance(maybe_sanitizer(), Sanitizer)
-
-    def test_explicit_overrides_env_both_ways(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert maybe_sanitizer(False) is None
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        with RunContext(sanitize=True):
+            assert isinstance(maybe_sanitizer(), Sanitizer)
+            assert maybe_sanitizer(False) is None
         assert isinstance(maybe_sanitizer(True), Sanitizer)
 
     def test_default_is_off(self):
@@ -346,8 +341,9 @@ class TestEndToEnd:
                 f"{benchmark}/{machine}/{label} diverged with the "
                 f"sanitizer on: {mismatches}")
 
-    def test_run_bar_env_var_enables_sanitizer(self, monkeypatch):
-        """REPRO_SANITIZE=1 reaches run_bar without explicit plumbing."""
+    def test_run_bar_context_enables_sanitizer(self, monkeypatch):
+        """The run context's sanitize flag reaches run_bar without
+        explicit plumbing."""
         import repro.harness.runner as hr
 
         seen = {}
@@ -358,7 +354,7 @@ class TestEndToEnd:
             return real_attach(self, core)
 
         monkeypatch.setattr(Sanitizer, "attach", spying_attach)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        hr.run_bar("ora", "inorder", hr.bar_config("N"), 500, 0)
+        with RunContext(sanitize=True):
+            hr.run_bar("ora", "inorder", hr.bar_config("N"), 500, 0)
         assert isinstance(seen.get("sanitizer"), Sanitizer)
         assert seen["sanitizer"].every == DEFAULT_EVERY

@@ -6,11 +6,11 @@ import os
 
 import pytest
 
+from repro.context import RunContext
 from repro.trace import (
-    ENV_PARENT,
-    ENV_SAMPLE,
     ambient,
     clear_ambient,
+    job_trace_span,
     maybe_tracer,
     set_ambient,
     trace_sample,
@@ -28,9 +28,7 @@ from repro.trace.span import SPAN_SCHEMA, Tracer
 
 
 @pytest.fixture(autouse=True)
-def _clean_trace_env(monkeypatch):
-    for var in (ENV_PARENT, ENV_SAMPLE, "REPRO_TRACE_SPANS"):
-        monkeypatch.delenv(var, raising=False)
+def _clean_ambient():
     clear_ambient()
     yield
     clear_ambient()
@@ -145,13 +143,11 @@ class TestSampling:
         assert maybe_tracer(1.0) is not None
 
     def test_env_rate(self, monkeypatch):
-        monkeypatch.setenv(ENV_SAMPLE, "1.0")
-        assert trace_sample() == 1.0
-        assert maybe_tracer() is not None
-
-    def test_malformed_env_rate_is_off(self, monkeypatch):
-        monkeypatch.setenv(ENV_SAMPLE, "lots")
+        """The sampling rate comes from options only: a
+        REPRO_TRACE_SAMPLE left in the process environment is ignored."""
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "1.0")
         assert trace_sample() == 0.0
+        assert maybe_tracer() is None
 
     def test_rate_is_clamped(self):
         assert trace_sample(7.5) == 1.0
@@ -173,13 +169,22 @@ class TestSampling:
         assert maybe_tracer(0.0, parent="garbage") is None
         assert maybe_tracer(1.0, parent="garbage") is not None
 
-    def test_env_parent_is_honored(self, monkeypatch):
+    def test_env_parent_is_honored(self, tmp_path):
+        """Without an ambient tracer (a pool worker), a job span joins
+        the trace named by the run environment — the current RunContext
+        — and is flushed to the context's spans path."""
         header = format_traceparent(
             TraceContext(new_trace_id(), new_span_id(), sampled=True))
-        monkeypatch.setenv(ENV_PARENT, header)
-        tracer = maybe_tracer(0.0)
-        assert tracer is not None
-        assert tracer.trace_id == header.split("-")[1]
+        spans = str(tmp_path / "s.jsonl")
+        with RunContext(traceparent=header, spans_path=spans):
+            with job_trace_span("sim.execute", label="x") as span:
+                assert span is not None
+        (record,), bad = read_spans(spans)
+        assert bad == 0
+        assert record["trace_id"] == header.split("-")[1]
+        assert record["parent_id"] == header.split("-")[2]
+        with job_trace_span("sim.execute") as span:
+            assert span is None  # the default context is untraced
 
     def test_ambient_round_trip(self):
         tracer = Tracer()

@@ -9,15 +9,12 @@ import pytest
 from repro.exec import CollectingSink, ExecOptions, JobRunner, SimJob
 from repro.harness.spans_cli import build_tree, group_by_trace
 from repro.sanitize.chaos import chaos_execute
-from repro.trace import ENV_PARENT, ENV_SAMPLE, ENV_SPANS, clear_ambient
+from repro.trace import clear_ambient
 from repro.trace.exporters import read_spans
 
 
 @pytest.fixture(autouse=True)
-def _clean_trace_env(monkeypatch):
-    for var in (ENV_PARENT, ENV_SAMPLE, ENV_SPANS,
-                "REPRO_TRACE_FLIGHT_DIR"):
-        monkeypatch.delenv(var, raising=False)
+def _clean_ambient():
     clear_ambient()
     yield
     clear_ambient()
@@ -133,12 +130,14 @@ class TestPoolPropagation:
         assert all(j["attrs"]["mode"] == "pool" for j in jobs)
 
     def test_env_restored_after_run(self, tmp_path):
+        """The trace context reaches workers with each job, never
+        through the process environment."""
+        before = dict(os.environ)
         runner = JobRunner(options(jobs=2, trace_sample=1.0,
                                    spans_path=str(tmp_path / "s.jsonl")),
                            execute=echo_execute)
         runner.run([bar_job("a"), bar_job("b")])
-        assert ENV_PARENT not in os.environ
-        assert ENV_SPANS not in os.environ
+        assert dict(os.environ) == before
 
     def test_pool_results_digit_exact_with_tracing(self, tmp_path):
         jobs = [bar_job(label=label) for label in ("N", "S10")]
@@ -151,16 +150,15 @@ class TestPoolPropagation:
 
 
 class TestPoolBrokenFallback:
-    def test_fallback_jobs_reparent_and_flight_dumps(self, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_FLIGHT_DIR", str(tmp_path))
+    def test_fallback_jobs_reparent_and_flight_dumps(self, tmp_path):
         spans_path = tmp_path / "s.jsonl"
         jobs = [SimJob.bar(benchmark=name, machine="m", label=f"L-{name}",
                            instructions=1, warmup=0, seed=0)
                 for name in ("ok-a", "kill-1", "ok-b")]
         sink = CollectingSink()
         runner = JobRunner(options(jobs=2, trace_sample=1.0,
-                                   spans_path=str(spans_path)),
+                                   spans_path=str(spans_path),
+                                   manifest_dir=str(tmp_path / "runs")),
                            execute=chaos_execute, sinks=[sink])
         results = runner.run(jobs)
         assert all(r is not None for r in results)
@@ -184,7 +182,9 @@ class TestPoolBrokenFallback:
         # same trace id across the break
         assert {r["trace_id"] for r in records} == {root["trace_id"]}
 
-        dumps = list(tmp_path.glob("flight_pool_broken_*.json"))
+        # The dump lands in the run's own directory.
+        run_dir = tmp_path / "runs" / runner.last_run_id
+        dumps = list(run_dir.glob("flight_pool_broken_*.json"))
         assert len(dumps) == 1
         payload = json.loads(dumps[0].read_text())
         kinds = {e["kind"] for e in payload["events"]}
@@ -192,23 +192,23 @@ class TestPoolBrokenFallback:
 
 
 class TestFlightDumpFaultClasses:
-    def test_violation_dumps_once(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_FLIGHT_DIR", str(tmp_path))
-
+    def test_violation_dumps_once(self, tmp_path):
         def violate(job):
             from repro.sanitize import InvariantViolation
             raise InvariantViolation("test.invariant", "L1D", 7, "boom")
 
-        runner = JobRunner(options(), execute=violate)
+        runner = JobRunner(options(manifest_dir=str(tmp_path / "runs")),
+                           execute=violate)
         runner.run([SimJob.bar(benchmark="v", machine="m", label="V",
                                instructions=1, warmup=0, seed=0)])
-        dumps = list(tmp_path.glob("flight_invariant_violation_*.json"))
+        dumps = list(tmp_path.rglob("flight_invariant_violation_*.json"))
         assert len(dumps) == 1
+        assert dumps[0].parent.name == runner.last_run_id
 
     def test_untraced_run_without_flight_dir_stays_clean(self, tmp_path,
                                                          monkeypatch):
         """No destination, no litter: a violation in a run without a
-        run dir or REPRO_TRACE_FLIGHT_DIR must not write into cwd."""
+        run dir must not write into cwd."""
         monkeypatch.chdir(tmp_path)
 
         def violate(job):

@@ -16,13 +16,19 @@ from tests.test_serve_gateway import LiveServer, tiny_spec
 
 
 @pytest.fixture(autouse=True)
-def _clean_trace_env(monkeypatch):
-    for var in ("REPRO_TRACEPARENT", "REPRO_TRACE_SAMPLE",
-                "REPRO_TRACE_SPANS"):
-        monkeypatch.delenv(var, raising=False)
+def _clean_ambient():
     clear_ambient()
     yield
     clear_ambient()
+
+
+def context_execute(job):
+    """Report the run settings the job executed under."""
+    from repro.context import current_context
+
+    ctx = current_context()
+    return {"label": job.label, "backend": ctx.backend,
+            "sanitize": ctx.sanitize}
 
 
 @pytest.fixture
@@ -137,6 +143,40 @@ class TestHealthz:
         assert subsystems["trace"] is False  # trace_sample 0.0
         assert subsystems["durable"] is False
         assert "git_sha" in health
+
+    def test_run_settings_come_from_serve_options(self, tmp_path):
+        """/healthz reports the gateway's own backend and sanitizer
+        settings, and every shard runs its jobs under them."""
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"),
+                               backend="vec", sanitize=True)
+        with LiveServer(options, execute=context_execute) as server:
+            with server.client() as client:
+                _, health = client.healthz()
+                status, body = client.submit(tiny_spec(seed=8))
+        assert health["backend"] == "vec"
+        assert health["subsystems"]["sanitize"] is True
+        assert status == 200
+        assert body["result"]["backend"] == "vec"
+        assert body["result"]["sanitize"] is True
+
+    def test_cli_flags_fill_serve_options(self):
+        from repro.serve.cli import build_parser, options_from_args
+
+        options = options_from_args(build_parser().parse_args(
+            ["--backend", "vec", "--sanitize", "--trace-sample", "7"]))
+        assert options.backend == "vec"
+        assert options.sanitize is True
+        assert options.trace_sample == 1.0  # clamped
+        default = options_from_args(build_parser().parse_args([]))
+        assert (default.backend, default.sanitize,
+                default.trace_sample) == (None, False, 0.0)
+
+    def test_unknown_backend_fails_at_boot(self):
+        from repro.serve import Gateway
+        from repro.vec import BackendError
+
+        with pytest.raises(BackendError):
+            Gateway(ServeOptions(backend="turbo"))
 
     def test_stats_exposes_trace_and_flight_state(self, traced_server):
         with traced_server.client() as client:

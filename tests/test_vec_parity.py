@@ -10,15 +10,14 @@ Three layers of proof:
   grid; this sweeps the config space around it, including the E/CC
   label families the golden capture never exercises);
 * cache-key invariance — a job's content address must not change with
-  the backend (``REPRO_BACKEND``, ``ExecOptions.backend``, or a serve
+  the backend (the run context's, ``ExecOptions.backend``, or a serve
   spec's ``backend`` field), because either backend may populate or hit
   the shared result cache;
-* dispatch rules — explicit argument beats environment, unknown names
-  raise :class:`BackendError`, and unsupported bars (Python callback
-  handlers, sanitizer/observer attached) silently use interp.
+* dispatch rules — explicit argument beats the run context, unknown
+  names raise :class:`BackendError`, and unsupported bars (Python
+  callback handlers, sanitizer/observer attached) silently use interp.
 """
 
-import os
 from dataclasses import fields
 
 import pytest
@@ -28,10 +27,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.context import RunContext
 from repro.exec import ExecOptions, JobRunner, SimJob
 from repro.harness.runner import BarResult, bar_config, run_bar
 from repro.vec import (
-    BACKEND_ENV,
     BackendError,
     resolve_backend,
     run_bar_vec,
@@ -89,24 +88,33 @@ def _figure2_job():
                       instructions=7500, warmup=3750, seed=0)
 
 
-def test_cache_key_ignores_backend_env(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
+def test_cache_key_ignores_backend_env():
+    """The backend of the run environment (the current RunContext) never
+    reaches a job's content address."""
     base = _figure2_job().cache_key()
     for backend in ("interp", "vec"):
-        monkeypatch.setenv(BACKEND_ENV, backend)
-        assert _figure2_job().cache_key() == base
+        with RunContext(backend=backend):
+            assert _figure2_job().cache_key() == base
 
 
-def test_cache_key_ignores_engine_backend(monkeypatch):
-    # setenv-then-delenv registers a restore for the value JobRunner is
-    # about to write into the environment.
-    monkeypatch.setenv(BACKEND_ENV, "interp")
-    monkeypatch.delenv(BACKEND_ENV)
+def test_cache_key_ignores_engine_backend():
     base = _figure2_job().cache_key()
     runner = JobRunner(ExecOptions(cache=False, backend="vec"))
-    assert os.environ[BACKEND_ENV] == "vec"
     assert _figure2_job().cache_key() == base
     assert runner.options.backend == "vec"
+
+
+def test_backend_choice_does_not_leak_between_runners():
+    """A vec runner leaves no trace on a later default runner."""
+    from repro.exec import CollectingSink
+
+    JobRunner(ExecOptions(cache=False, backend="vec"))
+    sink = CollectingSink()
+    JobRunner(ExecOptions(cache=False), sinks=[sink]).run([SimJob.bar(
+        benchmark="compress", machine="ooo", label="N", instructions=500,
+        warmup=250)])
+    (finished,) = [e for e in sink.events if e.event == "finished"]
+    assert finished.backend == "interp"
 
 
 def test_engine_rejects_unknown_backend():
@@ -130,12 +138,9 @@ def test_serve_spec_backend_validated_but_identity_free():
         validate_job_spec(dict(spec, backend=7))
 
 
-def test_either_backend_serves_the_shared_cache(tmp_path, monkeypatch):
+def test_either_backend_serves_the_shared_cache(tmp_path):
     """A vec-populated cache answers an interp run — same key, same bits."""
     from repro.exec import bar_result_from_dict
-
-    monkeypatch.setenv(BACKEND_ENV, "interp")  # restore point (see above)
-    monkeypatch.delenv(BACKEND_ENV)
 
     job = SimJob.bar(benchmark="espresso", machine="inorder", label="S1",
                      instructions=800, warmup=400, seed=0)
@@ -152,19 +157,24 @@ def test_either_backend_serves_the_shared_cache(tmp_path, monkeypatch):
 
 # -- dispatch rules -----------------------------------------------------------
 
-def test_resolve_backend_precedence(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
+def test_resolve_backend_precedence():
     assert resolve_backend() == "interp"
-    monkeypatch.setenv(BACKEND_ENV, "vec")
-    assert resolve_backend() == "vec"
-    assert resolve_backend("interp") == "interp"  # explicit beats env
-    monkeypatch.setenv(BACKEND_ENV, "")
-    assert resolve_backend() == "interp"
-    monkeypatch.setenv(BACKEND_ENV, "turbo")
-    with pytest.raises(BackendError):
-        resolve_backend()
+    assert resolve_backend("vec") == "vec"
     with pytest.raises(BackendError):
         resolve_backend("warp")
+
+
+def test_explicit_backend_beats_the_run_context(monkeypatch):
+    import repro.vec
+
+    calls = []
+    monkeypatch.setattr(repro.vec, "run_bar_vec",
+                        lambda *args, **kwargs: calls.append(args) or "vec")
+    with RunContext(backend="vec"):
+        assert run_bar("compress", "ooo", bar_config("N"), 500, 0,
+                       backend="interp").cycles > 0
+        assert run_bar("compress", "ooo", bar_config("N"), 500, 0) == "vec"
+    assert len(calls) == 1
 
 
 def test_vec_supports_generic_but_not_callback_handlers():
@@ -181,7 +191,7 @@ def test_vec_supports_generic_but_not_callback_handlers():
     assert not vec_supports(BarConfig("cb", callback))
 
 
-def test_unsupported_bar_falls_back_to_interp(monkeypatch):
+def test_unsupported_bar_falls_back_to_interp():
     """A callback-handler bar under --backend vec must still run (interp)."""
     from repro.core import InformingConfig, Mechanism
     from repro.core.handlers import CallbackHandler
@@ -191,8 +201,8 @@ def test_unsupported_bar_falls_back_to_interp(monkeypatch):
     bar = BarConfig("cb", InformingConfig(
         mechanism=Mechanism.TRAP,
         handler=CallbackHandler(lambda ref: calls.append(ref) or [])))
-    monkeypatch.setenv(BACKEND_ENV, "vec")
-    result = run_bar("compress", "ooo", bar, 500, 0)
+    with RunContext(backend="vec"):
+        result = run_bar("compress", "ooo", bar, 500, 0)
     assert result.cycles > 0
     assert calls  # the Python handler really ran — interp path
 
@@ -208,12 +218,11 @@ class TestBackendTelemetry:
     telemetry lie about provenance.
     """
 
-    def _finished(self, monkeypatch, policy):
+    def _finished(self, policy):
         from repro.exec import CollectingSink
 
-        monkeypatch.setenv(BACKEND_ENV, "vec")
         sink = CollectingSink()
-        runner = JobRunner(ExecOptions(jobs=1, cache=False),
+        runner = JobRunner(ExecOptions(jobs=1, cache=False, backend="vec"),
                            sinks=[sink])
         runner.run([SimJob.bar(benchmark="compress", machine="lab",
                                label="N", instructions=500, warmup=250,
@@ -222,8 +231,8 @@ class TestBackendTelemetry:
         assert len(events) == 1
         return events[0]
 
-    def test_vec_eligible_policy_reports_vec(self, monkeypatch):
-        assert self._finished(monkeypatch, "lru").backend == "vec"
+    def test_vec_eligible_policy_reports_vec(self):
+        assert self._finished("lru").backend == "vec"
 
-    def test_stateful_policy_falls_back_visibly(self, monkeypatch):
-        assert self._finished(monkeypatch, "rrip").backend == "interp"
+    def test_stateful_policy_falls_back_visibly(self):
+        assert self._finished("rrip").backend == "interp"

@@ -72,13 +72,6 @@ def _serial_runner(execute=execute_job, **options):
 
 
 @pytest.fixture
-def interp(monkeypatch):
-    from repro.vec import BACKEND_ENV
-
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-
-
-@pytest.fixture
 def stream_calls(monkeypatch):
     """Counts SyntheticWorkload.stream calls."""
     calls = []
@@ -131,7 +124,7 @@ def test_batch_equals_fresh_generators(order):
     assert active_batch() is None
 
 
-def test_batch_generates_each_shared_stream_once(interp, stream_calls):
+def test_batch_generates_each_shared_stream_once(stream_calls):
     jobs = [SimJob.bar(benchmark, machine, label, INSTRUCTIONS, WARMUP)
             for benchmark in ("compress", "ora")
             for machine in ("ooo", "inorder")
@@ -167,7 +160,7 @@ def _grid():
             for label in ("N", "S1")]
 
 
-def test_key_dropped_after_its_last_job(interp):
+def test_key_dropped_after_its_last_job():
     probe = _Probe()
     _serial_runner(probe).run(_grid())
     # compress's stream is live during its second job, then dropped
@@ -178,7 +171,7 @@ def test_key_dropped_after_its_last_job(interp):
     assert active_batch() is None
 
 
-def test_nothing_outlives_a_failed_run(interp):
+def test_nothing_outlives_a_failed_run():
     probe = _Probe(fail_at=2)
     runner = _serial_runner(probe, retries=0)
     with pytest.raises(JobFailedError):
@@ -188,7 +181,7 @@ def test_nothing_outlives_a_failed_run(interp):
     assert active_batch() is None
 
 
-def test_nothing_outlives_a_drained_run(interp):
+def test_nothing_outlives_a_drained_run():
     probe = _Probe(drain_after=1)
     runner = _serial_runner(probe)
     probe.runner = runner
@@ -199,7 +192,7 @@ def test_nothing_outlives_a_drained_run(interp):
     assert active_batch() is None
 
 
-def test_nothing_outlives_a_timed_out_run(interp):
+def test_nothing_outlives_a_timed_out_run():
     probe = _Probe()
     runner = _serial_runner(probe, timeout=1e-9)
     with pytest.raises(JobTimeoutError):
@@ -209,7 +202,7 @@ def test_nothing_outlives_a_timed_out_run(interp):
     assert active_batch() is None
 
 
-def test_single_job_batch_never_memoises(interp, stream_calls):
+def test_single_job_batch_never_memoises(stream_calls):
     probe = _Probe()
     runner = _serial_runner(probe)
     runner.run(_grid()[:1])
@@ -218,7 +211,7 @@ def test_single_job_batch_never_memoises(interp, stream_calls):
     assert len(stream_calls) == 2
 
 
-def test_unshared_keys_never_memoise(interp):
+def test_unshared_keys_never_memoise():
     probe = _Probe()
     jobs = [SimJob.bar(benchmark, "ooo", "N", INSTRUCTIONS, WARMUP)
             for benchmark in ("compress", "ora")]
@@ -226,14 +219,14 @@ def test_unshared_keys_never_memoise(interp):
     assert probe.seen == [(None, None), (None, None)]
 
 
-def test_direct_run_bar_never_memoises(interp, stream_calls):
+def test_direct_run_bar_never_memoises(stream_calls):
     for _ in range(2):
         run_bar("ora", "inorder", bar_config("N"), INSTRUCTIONS, WARMUP)
     assert active_batch() is None
     assert stream_calls == ["ora", "ora"]
 
 
-def test_batches_are_per_thread(interp):
+def test_batches_are_per_thread():
     """A batch on one thread is invisible to another thread's cells."""
     key = ("ora", 0, 500)
     seen = []
@@ -249,7 +242,7 @@ def test_batches_are_per_thread(interp):
 # -- the figure2 grid ----------------------------------------------------------
 
 @pytest.mark.slow
-def test_figure2_quick_generates_each_stream_once(interp, stream_calls,
+def test_figure2_quick_generates_each_stream_once(stream_calls,
                                                   monkeypatch):
     """The full --quick grid builds 13 streams (not 130), never builds
     a vec decode on the interp path, and stays golden digit-exact."""
